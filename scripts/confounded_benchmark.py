@@ -63,8 +63,8 @@ def main():
         write_pgm(dump_dir / f"{rec.stem}.entropy.pgm", entropy_map(pred))
         write_pgm(dump_dir / f"{rec.stem}.band.pgm", band.band.astype(np.float64))
         write_pgm(dump_dir / f"{rec.stem}.sobel.pgm", edges / max(edges.max(), 1.0))
-        umap = uncertainty_map(Tensor(pred.astype(np.float64)), band)
-        v = umap.v.data
+        v = uncertainty_map(Tensor(pred[None, None].astype(np.float64)),
+                            band.band[None, None]).data[0, 0]
         write_pgm(dump_dir / f"{rec.stem}.uncertainty.pgm", v / max(v.max(), 1e-12))
 
     print("\ntest means: " + ", ".join(f"{k} {v:.4f}" for k, v in mean.items()))

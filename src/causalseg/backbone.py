@@ -2,9 +2,11 @@
 
 Encoder stage s applies conv3x3 -> gelu -> avgpool2, halving resolution;
 the decoder mirrors it with nearest-neighbor upsampling and encoder skip
-concatenation, ending in a 1x1 conv to a single logit plane.  A per-stage
-fusion hook lets the intervention module rewrite decoder features; the
-identity hook yields the plain conditional P(Y'|X) baseline.
+concatenation, ending in a 1x1 conv to a single logit plane.  Every path
+is batched: images are (N,1,H,W) and logits (N,1,H,W), with N = 1 for a
+single image.  A per-stage fusion hook lets the intervention module rewrite
+decoder features; the identity hook yields the plain conditional P(Y'|X)
+baseline.
 """
 
 from dataclasses import dataclass
@@ -46,21 +48,18 @@ class EncoderDecoder:
         self.head = Conv2d(reg, f"{name}.head", c_run, 1, 1, rng, dtype)
 
     def encode(self, image: T.Tensor) -> EncoderFeatures:
-        """image: (1,H,W) single sample or (N,1,H,W) batch, values in [0,1]."""
-        single = image.ndim == 3
-        x = T.reshape(image, (1,) + image.shape) if single else image
-        if x.ndim != 4 or x.shape[1] != 1:
-            raise T.ShapeError(f"encode expects (1,H,W) or (N,1,H,W), got {image.shape}")
-        h, w = x.shape[2], x.shape[3]
+        """image: (N,1,H,W) batch, values in [0,1]."""
+        if image.ndim != 4 or image.shape[1] != 1:
+            raise T.ShapeError(f"encode expects (N,1,H,W), got {image.shape}")
+        h, w = image.shape[2], image.shape[3]
         div = 1 << self.depth
         if h % div or w % div:
             raise T.ShapeError(f"spatial dims {h}x{w} must be divisible by {div}")
+        x = image
         stages = []
         for conv in self.enc:
             x = T.avgpool2(T.gelu(conv(x)))
             stages.append(x)
-        if single:
-            stages = [T.reshape(s, s.shape[1:]) for s in stages]
         return EncoderFeatures(stages)
 
     def decode(self, features: EncoderFeatures, hook=None) -> T.Tensor:
@@ -68,9 +67,6 @@ class EncoderDecoder:
         each stage output (shape must be preserved).  Returns logits (N,1,H,W).
         """
         stages = features.stages
-        single = stages[0].ndim == 3
-        if single:
-            stages = [T.reshape(s, (1,) + s.shape) for s in stages]
         x = stages[-1]
         for s, conv in enumerate(self.dec):
             x = T.upsample_nearest2(x)
@@ -84,7 +80,4 @@ class EncoderDecoder:
                     raise T.ShapeError(
                         f"fusion hook changed stage {s} shape {x.shape} -> {fused.shape}")
                 x = fused
-        logits = self.head(x)
-        if single:
-            logits = T.reshape(logits, logits.shape[1:])
-        return logits
+        return self.head(x)

@@ -1,10 +1,11 @@
 """Sobel boundary bands and the uncertainty-weighted boundary loss.
 
 The band is the Chebyshev dilation (radius w) of the ground-truth mask's
-Sobel edge pixels.  On band pixels the loss is a cross-entropy weighted by
-(1 + V_i), where V_i is the squared deviation of each prediction from the
-band-mean prediction.  V is differentiable through the predictions unless
-explicitly detached.
+Sobel edge pixels; ``boundary_band`` works on one 2-d mask.  The loss and
+the uncertainty map work on (B,1,H,W) batches: on band pixels the loss is
+a cross-entropy weighted by (1 + V_i), where V_i is the squared deviation
+of each prediction from its image's band-mean prediction.  V is
+differentiable through the predictions unless explicitly detached.
 """
 
 from dataclasses import dataclass
@@ -13,11 +14,10 @@ import numpy as np
 from scipy.ndimage import binary_dilation
 
 from . import tensor as T
+from .losses import PROB_EPS, cross_entropy  # noqa: F401  (PROB_EPS re-exported)
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 SOBEL_Y = SOBEL_X.T
-
-PROB_EPS = 1e-7
 
 
 @dataclass
@@ -27,14 +27,6 @@ class BoundaryBand:
     band: np.ndarray
     b: np.ndarray
     n: int
-
-
-@dataclass
-class UncertaintyMap:
-    """V: squared deviation from the band-mean prediction, zero off band."""
-
-    v: T.Tensor
-    p_mean: T.Tensor
 
 
 def _correlate3(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -76,49 +68,43 @@ def boundary_band(mask: np.ndarray, width: int = 2) -> BoundaryBand:
     return BoundaryBand(band, mask[band].astype(np.float64), int(band.sum()))
 
 
-def uncertainty_map(pred: T.Tensor, band: BoundaryBand) -> UncertaintyMap:
-    """V_i = (p_i - P)^2 on band pixels, with P the band mean of ``pred``."""
-    if band.n == 0:
-        zero = T.Tensor(np.zeros(pred.shape, dtype=pred.data.dtype))
-        return UncertaintyMap(v=zero, p_mean=T.Tensor(np.asarray(0.0, dtype=pred.data.dtype)))
-    band_t = T.Tensor(band.band.astype(pred.data.dtype))
-    p_mean = T.div(T.tsum(T.mul(pred, band_t)), T.Tensor(np.asarray(float(band.n), dtype=pred.data.dtype)))
-    dev = T.sub(pred, p_mean)
-    v = T.mul(T.mul(dev, dev), band_t)
-    return UncertaintyMap(v=v, p_mean=p_mean)
+def _band_sizes(band: np.ndarray, dtype) -> T.Tensor:
+    # per-image band pixel counts (B,1,1,1); an empty band counts as 1 so
+    # its all-zero sums divide to 0
+    return T.Tensor(np.maximum(band.sum(axis=(1, 2, 3), keepdims=True), 1).astype(dtype))
 
 
-def usd_loss(pred: T.Tensor, band: BoundaryBand, v: T.Tensor) -> T.Tensor:
-    """-(1/N) sum over band of (1+V_i) [b log p + (1-b) log(1-p)]."""
-    if band.n == 0:
-        return T.Tensor(np.asarray(0.0, dtype=pred.data.dtype))
+def uncertainty_map(pred: T.Tensor, band: np.ndarray) -> T.Tensor:
+    """V_i = (p_i - P)^2 on band pixels of a (B,1,H,W) batch, zero elsewhere.
+
+    ``band`` is the (B,1,H,W) 0/1 membership; P is each image's band-mean
+    prediction.
+    """
     dtype = pred.data.dtype
-    band_t = T.Tensor(band.band.astype(dtype))
-    truth = np.zeros(pred.shape, dtype=dtype)
-    truth[band.band] = band.b
-    y = T.Tensor(truth)
-    p = T.clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
+    band_t = T.Tensor(band.astype(dtype))
+    p_mean = T.div(T.tsum(T.mul(pred, band_t), axis=(1, 2, 3), keepdims=True),
+                   _band_sizes(band, dtype))
+    dev = T.sub(pred, p_mean)
+    return T.mul(T.mul(dev, dev), band_t)
+
+
+def usd_loss(pred: T.Tensor, truth: np.ndarray, band: np.ndarray, v: T.Tensor) -> T.Tensor:
+    """Batch mean of each image's (1/N) sum over its band of (1+V_i) CE(p_i, y_i).
+
+    pred, truth, band and v are (B,1,H,W); an image with an empty band
+    contributes 0.
+    """
+    dtype = pred.data.dtype
     one = T.Tensor(np.asarray(1.0, dtype=dtype))
-    ce = T.add(T.mul(y, T.log(p)), T.mul(T.sub(one, y), T.log(T.sub(one, p))))
-    weighted = T.mul(T.mul(T.add(one, v), ce), band_t)
-    return T.div(T.neg(T.tsum(weighted)), T.Tensor(np.asarray(float(band.n), dtype=dtype)))
-
-
-def usd_from_mask(pred: T.Tensor, mask: np.ndarray, width: int = 2,
-                  detach_uncertainty: bool = False) -> T.Tensor:
-    """Band extraction + uncertainty weighting + loss for one (pred, mask)."""
-    band = boundary_band(mask, width)
-    umap = uncertainty_map(pred.detach() if detach_uncertainty else pred, band)
-    return usd_loss(pred, band, umap.v)
+    ce = cross_entropy(pred, T.Tensor(truth.astype(dtype)))
+    weighted = T.mul(T.mul(T.add(one, v), ce), T.Tensor(band.astype(dtype)))
+    per_image = T.div(T.tsum(weighted, axis=(1, 2, 3), keepdims=True), _band_sizes(band, dtype))
+    return T.tmean(per_image)
 
 
 def usd_batch(pred: T.Tensor, masks: np.ndarray, width: int = 2,
               detach_uncertainty: bool = False) -> T.Tensor:
-    """Mean per-image USD loss over a (B,1,H,W) batch; empty bands give 0."""
-    b = pred.shape[0]
-    total = None
-    for i in range(b):
-        plane = T.reshape(T.narrow(pred, 0, i, 1), pred.shape[2:])
-        term = usd_from_mask(plane, masks[i, 0], width, detach_uncertainty)
-        total = term if total is None else T.add(total, term)
-    return T.div(total, T.Tensor(np.asarray(float(b), dtype=pred.data.dtype)))
+    """USD loss of a (B,1,H,W) batch against its masks, one band per mask."""
+    band = np.stack([boundary_band(m[0], width).band for m in masks])[:, None]
+    v = uncertainty_map(pred.detach() if detach_uncertainty else pred, band)
+    return usd_loss(pred, masks, band, v)

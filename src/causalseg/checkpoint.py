@@ -6,8 +6,10 @@ record per array: [u32 name length, name bytes, u8 dtype code (0 = f32,
 bit-identical; integers are little-endian throughout.
 """
 
+import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -59,7 +61,10 @@ def _take(buf: memoryview, pos: int, count: int, what: str):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    buf = memoryview(open(path, "rb").read())
+    try:
+        buf = memoryview(Path(path).read_bytes())
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     chunk, pos = _take(buf, 0, len(MAGIC), "magic")
     if bytes(chunk) != MAGIC:
         raise CheckpointError(f"bad magic {bytes(chunk)!r}, expected {MAGIC!r}")
@@ -74,7 +79,12 @@ def load_checkpoint(path) -> Checkpoint:
         chunk, pos = _take(buf, pos, 4, "record name length")
         (name_len,) = struct.unpack("<I", chunk)
         chunk, pos = _take(buf, pos, name_len, "record name")
-        name = bytes(chunk).decode("utf-8")
+        try:
+            name = bytes(chunk).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"record name at byte {pos - name_len} is not UTF-8") from None
+        if name in arrays:
+            raise CheckpointError(f"duplicate array name {name!r}")
         chunk, pos = _take(buf, pos, 2, f"{name} dtype/rank")
         code, rank = struct.unpack("<BB", chunk)
         if code not in _CODE_DTYPES:
@@ -82,7 +92,7 @@ def load_checkpoint(path) -> Checkpoint:
         chunk, pos = _take(buf, pos, 4 * rank, f"{name} dims")
         shape = struct.unpack(f"<{rank}I", chunk) if rank else ()
         dtype = _CODE_DTYPES[code]
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)  # exact: corrupt dims must not wrap around
         chunk, pos = _take(buf, pos, count * dtype.itemsize, f"{name} payload")
         arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
     return Checkpoint(k=k, config_hash=config_hash, arrays=arrays)

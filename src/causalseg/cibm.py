@@ -5,7 +5,8 @@ gives simplex mixing weights over the K sampled confusion features.  The
 mixed vector is tiled spatially, added to the stage feature, and the pair
 is gated by per-channel sigmoid weights computed from their concatenation
 (conv3x3 -> gelu -> conv1x1 -> GAP -> sigmoid).  One latent draw is shared
-by every stage within a forward pass.
+by every stage within a forward pass.  Everything is batched: latents are
+(B,K), mixed vectors (B,n) and stage features (B,n,H,W).
 """
 
 import numpy as np
@@ -50,28 +51,20 @@ class ChannelGate:
 
 
 def mix(weights: MixingWeights, z: LatentSample) -> T.Tensor:
-    """Omega x Z: (n,K) @ (K,) -> (n,) or batched (B,K) -> (B,n)."""
-    omega = weights.omega()
-    if z.z.ndim == 1:
-        if z.z.shape[0] != weights.k:
-            raise T.ShapeError(f"mix: K mismatch {z.z.shape[0]} vs {weights.k}")
-        return T.matmul(omega, z.z)
+    """Omega x Z per sample: (B,K) latents -> (B,n)."""
     if z.z.shape[-1] != weights.k:
         raise T.ShapeError(f"mix: K mismatch {z.z.shape[-1]} vs {weights.k}")
-    return T.matmul(z.z, T.transpose(omega))
+    return T.matmul(z.z, T.transpose(weights.omega()))
 
 
 def fuse(feature: T.Tensor, mixed: T.Tensor, gate: ChannelGate) -> T.Tensor:
     """Gate the sum of the stage feature and the tiled mixed vector.
 
-    feature: (B,n,H,W); mixed: (B,n) or (n,).  Returns the same shape as
-    ``feature``.
+    feature: (B,n,H,W); mixed: (B,n).  Returns the same shape as ``feature``.
     """
     if feature.ndim != 4:
         raise T.ShapeError(f"fuse expects (B,n,H,W) features, got {feature.shape}")
     b, n, h, w = feature.shape
-    if mixed.ndim == 1:
-        mixed = T.reshape(mixed, (1, -1))
     if mixed.shape[-1] != n:
         raise T.ShapeError(f"fuse: mixed length {mixed.shape[-1]} != {n} channels")
     rep = T.repeat_spatial(mixed, h, w)

@@ -25,23 +25,22 @@ from .tensor import Tensor
 from .train import (SGD, TrainingError, ablate_k, ablate_modules, evaluate_model, fit,
                     gradient_check, load_dataset, restore_training_state)
 
-_BOOL_FIELDS = ("augment", "use_gsm", "use_cibm", "detach_uncertainty", "stochastic_eval")
-_VALUE_FIELDS = {"lr": float, "momentum": float, "weight_decay": float, "batch": int,
-                 "epochs": int, "k": int, "band_width": int, "split_fraction": float,
-                 "schedule": str, "size": int, "data": str, "n_samples": int}
-
 
 def _add_config_flags(parser, require_seed=False):
+    """``--x`` for every TrainConfig field, ``--x/--no-x`` for the bools."""
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, required=require_seed,
                         help="run seed" + (" (required)" if require_seed else ""))
-    for name, kind in _VALUE_FIELDS.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", type=kind, dest=name)
-    for name in _BOOL_FIELDS:
-        flag = name.replace("_", "-")
-        group = parser.add_mutually_exclusive_group()
-        group.add_argument(f"--{flag}", dest=name, action="store_true", default=None)
-        group.add_argument(f"--no-{flag}", dest=name, action="store_false", default=None)
+    for field in fields(TrainConfig):
+        if field.name == "seed":
+            continue
+        flag = field.name.replace("_", "-")
+        if field.type is bool:
+            group = parser.add_mutually_exclusive_group()
+            group.add_argument(f"--{flag}", dest=field.name, action="store_true", default=None)
+            group.add_argument(f"--no-{flag}", dest=field.name, action="store_false", default=None)
+        else:
+            parser.add_argument(f"--{flag}", type=field.type, dest=field.name)
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -181,9 +180,8 @@ def cmd_inspect_band(args):
     if args.checkpoint:
         model, _ = _load_model(args, cfg)
         result = model.forward(rec.image[None].astype(np.float32), training=False)
-        pred = result.pred.data[0, 0].astype(np.float64)
-        umap = uncertainty_map(Tensor(pred), band)
-        v = umap.v.data
+        pred = result.pred.data.astype(np.float64)
+        v = uncertainty_map(Tensor(pred), band.band[None, None]).data[0, 0]
         write_pgm(outdir / f"{stem}.uncertainty.pgm", v / max(v.max(), 1e-12))
         emitted.append("uncertainty")
     print(f"band pixels: {band.n}; wrote {', '.join(emitted)} maps to {outdir}")

@@ -121,17 +121,12 @@ def parse_config_lines(lines) -> dict:
 
 
 def load_train_config(path, overrides=None) -> TrainConfig:
-    fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    types = {"lr": float, "momentum": float, "weight_decay": float, "batch": int,
-             "epochs": int, "k": int, "band_width": int, "seed": int,
-             "split_fraction": float, "schedule": str, "size": int, "data": str,
-             "n_samples": int, "augment": bool, "use_gsm": bool, "use_cibm": bool,
-             "detach_uncertainty": bool, "stochastic_eval": bool}
+    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     values = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             pairs = parse_config_lines(fh)
-        unknown = sorted(set(pairs) - set(fields))
+        unknown = sorted(set(pairs) - set(types))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         values = {k: _coerce_field(k, types[k], v) for k, v in pairs.items()}

@@ -39,10 +39,10 @@ class GaussianSet:
         if self.mu.shape != self.sigma.shape or self.mu.shape[-1] != self.k:
             raise T.ShapeError(
                 f"GaussianSet K={self.k} got mu {self.mu.shape}, sigma {self.sigma.shape}")
-        if not np.all(self.sigma.data > 0):
-            raise ValueError("GaussianSet requires strictly positive sigma")
         if not (np.isfinite(self.mu.data).all() and np.isfinite(self.sigma.data).all()):
             raise T.NonFiniteError("GaussianSet with non-finite mu/sigma")
+        if not np.all(self.sigma.data > 0):
+            raise ValueError("GaussianSet requires strictly positive sigma")
 
     @classmethod
     def from_arrays(cls, mu, sigma):
@@ -86,9 +86,8 @@ class DistributionHead:
         for conv in self.convs:
             h = T.avgpool2(T.gelu(conv(h)))
         out = self.linear(T.global_avg_pool(h))  # (N, 2K)
-        axis = out.ndim - 1
-        mu = T.narrow(out, axis, 0, self.k)
-        log_sigma = T.clamp(T.narrow(out, axis, self.k, self.k), LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+        mu = T.narrow(out, 1, 0, self.k)
+        log_sigma = T.clamp(T.narrow(out, 1, self.k, self.k), LOG_SIGMA_MIN, LOG_SIGMA_MAX)
         return GaussianSet(mu, T.exp(log_sigma), self.k)
 
 

@@ -54,15 +54,19 @@ def _as_tensor(x, dtype):
     return x if isinstance(x, T.Tensor) else T.Tensor(np.asarray(x, dtype=dtype))
 
 
+def cross_entropy(pred: T.Tensor, truth: T.Tensor) -> T.Tensor:
+    """Per-pixel -[y log p + (1-y) log(1-p)], p clamped to [eps, 1-eps]."""
+    p = T.clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
+    one = T.Tensor(np.asarray(1.0, dtype=pred.data.dtype))
+    return T.neg(T.add(T.mul(truth, T.log(p)), T.mul(T.sub(one, truth), T.log(T.sub(one, p)))))
+
+
 def bce_loss(pred: T.Tensor, truth) -> T.Tensor:
     """Pixel-mean binary cross entropy; pred clamped away from {0,1}."""
     y = _as_tensor(truth, pred.data.dtype)
     if y.shape != pred.shape:
         raise T.ShapeError(f"bce: pred {pred.shape} vs truth {y.shape}")
-    p = T.clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
-    one = T.Tensor(np.asarray(1.0, dtype=pred.data.dtype))
-    ce = T.add(T.mul(y, T.log(p)), T.mul(T.sub(one, y), T.log(T.sub(one, p))))
-    return T.neg(T.tmean(ce))
+    return T.tmean(cross_entropy(pred, y))
 
 
 def dice_loss(pred: T.Tensor, truth) -> T.Tensor:

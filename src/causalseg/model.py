@@ -86,9 +86,6 @@ class SegModel:
         return ForwardResult(logits=logits, pred=T.sigmoid(logits), prior=prior,
                              posterior=posterior, latent=latent)
 
-    def named_arrays(self) -> dict:
-        return {p.name: p.tensor.data for p in self.registry.parameters()}
-
     def load_arrays(self, arrays: dict):
         """Copy checkpoint arrays into parameters; names must match exactly."""
         params = {p.name: p for p in self.registry.parameters()}

@@ -362,83 +362,50 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(m, k) @ (k, n) -> (m, n)."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-        return _binary(a, b, ad @ bd, lambda g: g @ bd.T, lambda g: ad.T @ g)
-    if ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-        return _binary(a, b, ad @ bd, lambda g: np.outer(g, bd), lambda g: ad.T @ g)
-    if ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-        return _binary(a, b, ad @ bd, lambda g: bd @ g, lambda g: np.outer(ad, g))
-    raise ShapeError(f"matmul supports 1-d/2-d operands, got {ad.shape} @ {bd.shape}")
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul expects (m,k) @ (k,n), got {ad.shape} @ {bd.shape}")
+    return _binary(a, b, ad @ bd, lambda g: g @ bd.T, lambda g: ad.T @ g)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x @ weight.T + bias with weight shaped (out, in)."""
-    return add(matmul(x, transpose(weight)) if x.ndim == 2 else matmul(weight, x), bias)
+    """(B, in) @ weight.T + bias -> (B, out), with weight shaped (out, in)."""
+    return add(matmul(x, transpose(weight)), bias)
 
 
 def repeat_spatial(v: Tensor, h: int, w: int) -> Tensor:
-    """Tile an (n,) or (B, n) vector into constant (.., n, h, w) planes."""
-    if v.ndim == 1:
-        out_data = np.broadcast_to(v.data[:, None, None], (v.shape[0], h, w)).copy()
-        return _unary(v, out_data, lambda g: g.sum(axis=(1, 2)))
-    if v.ndim == 2:
-        b, n = v.shape
-        out_data = np.broadcast_to(v.data[:, :, None, None], (b, n, h, w)).copy()
-        return _unary(v, out_data, lambda g: g.sum(axis=(2, 3)))
-    raise ShapeError(f"repeat_spatial expects 1-d or 2-d input, got shape {v.shape}")
+    """Tile a (B, n) batch of vectors into constant (B, n, h, w) planes."""
+    if v.ndim != 2:
+        raise ShapeError(f"repeat_spatial expects a (B, n) input, got shape {v.shape}")
+    b, n = v.shape
+    out_data = np.broadcast_to(v.data[:, :, None, None], (b, n, h, w)).copy()
+    return _unary(v, out_data, lambda g: g.sum(axis=(2, 3)))
 
 
 def global_avg_pool(a: Tensor) -> Tensor:
-    """Reduce the trailing spatial dims: (N,C,H,W) -> (N,C) or (C,H,W) -> (C,)."""
-    if a.ndim not in (3, 4):
-        raise ShapeError(f"global_avg_pool expects 3-d or 4-d input, got shape {a.shape}")
-    h, w = a.shape[-2], a.shape[-1]
-    out_data = a.data.mean(axis=(-2, -1))
+    """Mean over the spatial dims: (N, C, H, W) -> (N, C)."""
+    if a.ndim != 4:
+        raise ShapeError(f"global_avg_pool expects an NCHW tensor, got shape {a.shape}")
+    h, w = a.shape[2], a.shape[3]
+    out_data = a.data.mean(axis=(2, 3))
 
     def da(g):
-        return (np.broadcast_to(g[..., None, None], a.shape) / (h * w)).astype(a.data.dtype)
+        return (np.broadcast_to(g[:, :, None, None], a.shape) / (h * w)).astype(a.data.dtype)
 
     return _unary(a, out_data, da)
 
 
-def _require_even_spatial(a: Tensor, op: str):
-    if a.ndim != 4:
-        raise ShapeError(f"{op} expects an NCHW tensor, got shape {a.shape}")
-    if a.shape[2] % 2 or a.shape[3] % 2:
-        raise ShapeError(f"{op}: spatial dims of {a.shape} must be even")
-
-
 def avgpool2(a: Tensor) -> Tensor:
-    _require_even_spatial(a, "avgpool2")
+    if a.ndim != 4:
+        raise ShapeError(f"avgpool2 expects an NCHW tensor, got shape {a.shape}")
+    if a.shape[2] % 2 or a.shape[3] % 2:
+        raise ShapeError(f"avgpool2: spatial dims of {a.shape} must be even")
     n, c, h, w = a.shape
     out_data = a.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
 
     def da(g):
         return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0).astype(a.data.dtype)
-
-    return _unary(a, out_data, da)
-
-
-def maxpool2(a: Tensor) -> Tensor:
-    _require_even_spatial(a, "maxpool2")
-    n, c, h, w = a.shape
-    win = a.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=-1)  # first max wins ties: deterministic
-    out_data = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-
-    def da(g):
-        gwin = np.zeros_like(win)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gwin = gwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return gwin.reshape(n, c, h, w)
 
     return _unary(a, out_data, da)
 

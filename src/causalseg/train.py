@@ -28,7 +28,7 @@ METRICS_COLUMNS = ("epoch", "loss_total", "loss_bce", "loss_dice",
 
 
 class TrainingError(RuntimeError):
-    """Aborted run: non-finite loss or an invalid resume."""
+    """Aborted run: a non-finite value during an epoch, or an invalid resume."""
 
 
 class SGD:
@@ -145,7 +145,7 @@ def _momentum_arrays(opt: SGD) -> dict:
 
 
 def save_training_state(path, model: SegModel, opt: SGD, epochs_done: int):
-    arrays = dict(model.named_arrays())
+    arrays = model.registry.named_arrays()
     arrays.update(_momentum_arrays(opt))
     arrays["meta.epoch"] = np.array([float(epochs_done)], dtype=np.float64)
     save_checkpoint(path, arrays, model.config.k, model.config.config_hash())
@@ -156,18 +156,20 @@ def restore_training_state(ckpt: Checkpoint, model: SegModel, opt: SGD) -> int:
         raise TrainingError(f"checkpoint K={ckpt.k} does not match config K={model.config.k}")
     if ckpt.config_hash != model.config.config_hash():
         raise TrainingError("checkpoint config hash does not match the requested model")
+    missing = [key for key in (*_momentum_arrays(opt), "meta.epoch") if key not in ckpt.arrays]
+    if missing:
+        raise TrainingError(f"checkpoint missing {', '.join(missing)}")
     model.load_arrays(ckpt.arrays)
-    for name, buf in opt.velocity.items():
-        key = f"opt.{name}"
-        if key in ckpt.arrays:
-            buf[:] = ckpt.arrays[key].astype(buf.dtype, copy=False)
-    return int(ckpt.arrays.get("meta.epoch", np.zeros(1))[0])
+    for key, buf in _momentum_arrays(opt).items():
+        buf[:] = ckpt.arrays[key].astype(buf.dtype, copy=False)
+    return int(ckpt.arrays["meta.epoch"][0])
 
 
 def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
         resume=None, log=None, stop_at_dice=None) -> FitResult:
     """Train per the config; optionally resume, log per-epoch rows, and stop
-    early once mean train Dice reaches ``stop_at_dice``."""
+    early once mean train Dice reaches ``stop_at_dice``.  A non-finite value
+    anywhere in an epoch raises TrainingError naming the epoch and step."""
     cfg.validate()
     if records is None:
         records = load_dataset(cfg)
@@ -193,28 +195,27 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
 
     try:
         for epoch in range(start_epoch, cfg.epochs):
+            where = f"epoch {epoch}"
             lr = schedule_lr(cfg, epoch)
             erng = derive_rng(cfg.seed, "epoch", epoch)
             order = erng.permutation(len(train_records))
             sums = {k: 0.0 for k in ("total", "bce", "dice", "kl", "usd")}
             steps = 0
             for step, idx in enumerate(batches(order, cfg.batch)):
+                where = f"epoch {epoch} step {step}"
                 images, masks = _stack_batch(train_records, idx, cfg,
                                              erng if cfg.augment else None)
                 result = model.forward(images, masks, training=True, rng=erng)
-                try:
-                    bundle = compute_losses(result, masks, cfg)
-                    model.registry.zero_grad()
-                    T.backward(bundle.total)
-                except T.NonFiniteError as exc:
-                    raise TrainingError(
-                        f"epoch {epoch} step {step}: {exc}") from exc
+                bundle = compute_losses(result, masks, cfg)
+                model.registry.zero_grad()
+                T.backward(bundle.total)
                 opt.step(lr)
                 for key, value in bundle.values().items():
                     if key in sums:
                         sums[key] += value
                 steps += 1
             losses = {k: v / max(steps, 1) for k, v in sums.items()}
+            where = f"epoch {epoch} evaluation"
             _, test_mean = evaluate_model(model, test_records, cfg)
             stats = EpochStats(epoch=epoch, losses=losses, test=test_mean)
             history.append(stats)
@@ -230,6 +231,8 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
                 _, train_mean = evaluate_model(model, train_records, cfg)
                 if train_mean["dice"] >= stop_at_dice:
                     break
+    except T.NonFiniteError as exc:
+        raise TrainingError(f"{where}: {exc}") from exc
     finally:
         if csv_file is not None:
             csv_file.close()

@@ -17,11 +17,11 @@ def make_net(channels=(8, 16, 32), seed=0, dtype=np.float32):
 class TestShapes:
     def test_single_sample_round_trip(self):
         reg, net = make_net()
-        image = T.Tensor(np.random.default_rng(0).random((1, 32, 32), dtype=np.float32))
+        image = T.Tensor(np.random.default_rng(0).random((1, 1, 32, 32), dtype=np.float32))
         feats = net.encode(image)
-        assert [f.shape for f in feats.stages] == [(8, 16, 16), (16, 8, 8), (32, 4, 4)]
+        assert [f.shape for f in feats.stages] == [(1, 8, 16, 16), (1, 16, 8, 8), (1, 32, 4, 4)]
         logits = net.decode(feats)
-        assert logits.shape == (1, 32, 32)
+        assert logits.shape == (1, 1, 32, 32)
 
     def test_batch_round_trip(self):
         reg, net = make_net()
@@ -36,12 +36,14 @@ class TestShapes:
     def test_indivisible_size_rejected(self):
         reg, net = make_net()
         with pytest.raises(T.ShapeError, match="divisible"):
-            net.encode(T.Tensor(np.zeros((1, 20, 20), dtype=np.float32)))
+            net.encode(T.Tensor(np.zeros((1, 1, 20, 20), dtype=np.float32)))
 
     def test_wrong_rank_rejected(self):
         reg, net = make_net()
         with pytest.raises(T.ShapeError):
             net.encode(T.Tensor(np.zeros((3, 2, 32, 32), dtype=np.float32)))
+        with pytest.raises(T.ShapeError):
+            net.encode(T.Tensor(np.zeros((1, 32, 32), dtype=np.float32)))
 
 
 class TestHooks:

@@ -111,117 +111,123 @@ class TestBoundaryBand:
             B.boundary_band(square_mask(), width=0)
 
 
+def batch1(arr):
+    """A single H x W plane as a (1,1,H,W) batch."""
+    return np.asarray(arr)[None, None]
+
+
 class TestUncertaintyMap:
     def test_equal_predictions_zero_uncertainty(self):
         band = B.boundary_band(square_mask(), width=1)
-        pred = T.Tensor(np.full((16, 16), 0.7))
-        umap = B.uncertainty_map(pred, band)
-        np.testing.assert_allclose(umap.v.data, np.zeros((16, 16)), atol=1e-15)
-        assert abs(umap.p_mean.item() - 0.7) < 1e-12
+        pred = T.Tensor(np.full((1, 1, 16, 16), 0.7))
+        v = B.uncertainty_map(pred, batch1(band.band))
+        np.testing.assert_allclose(v.data, np.zeros((1, 1, 16, 16)), atol=1e-15)
 
     def test_two_pixel_band(self):
-        band = B.BoundaryBand(
-            band=np.array([[True, True], [False, False]]), b=np.array([1.0, 0.0]), n=2)
-        pred = T.Tensor(np.array([[0.0, 1.0], [0.5, 0.5]]))
-        umap = B.uncertainty_map(pred, band)
-        assert abs(umap.p_mean.item() - 0.5) < 1e-12
-        np.testing.assert_allclose(umap.v.data[0], [0.25, 0.25], atol=1e-12)
-        np.testing.assert_array_equal(umap.v.data[1], [0.0, 0.0])
+        band = np.array([[True, True], [False, False]])
+        pred = T.Tensor(batch1([[0.0, 1.0], [0.5, 0.5]]))
+        v = B.uncertainty_map(pred, batch1(band)).data[0, 0]
+        np.testing.assert_allclose(v[0], [0.25, 0.25], atol=1e-12)  # band mean 0.5
+        np.testing.assert_array_equal(v[1], [0.0, 0.0])
 
     def test_mean_v_is_band_variance(self):
         rng = np.random.default_rng(10)
         band = B.boundary_band(square_mask(), width=2)
         pred_arr = rng.random((16, 16))
-        umap = B.uncertainty_map(T.Tensor(pred_arr), band)
-        got = umap.v.data[band.band].mean()
+        v = B.uncertainty_map(T.Tensor(batch1(pred_arr)), batch1(band.band)).data[0, 0]
+        got = v[band.band].mean()
         assert abs(got - pred_arr[band.band].var()) < 1e-12
 
     def test_empty_band_gives_zero_map(self):
         band = B.boundary_band(np.zeros((8, 8), dtype=np.uint8))
-        umap = B.uncertainty_map(T.Tensor(np.full((8, 8), 0.5)), band)
-        assert not umap.v.data.any()
+        v = B.uncertainty_map(T.Tensor(np.full((1, 1, 8, 8), 0.5)), batch1(band.band))
+        assert not v.data.any()
+
+    def test_band_mean_is_per_image(self):
+        band = B.boundary_band(square_mask(), width=1)
+        pred = T.Tensor(np.stack([np.full((1, 16, 16), 0.2), np.full((1, 16, 16), 0.9)]))
+        v = B.uncertainty_map(pred, np.stack([batch1(band.band)[0]] * 2))
+        np.testing.assert_allclose(v.data, 0.0, atol=1e-15)
 
 
 class TestUsdLoss:
     def test_single_pixel_half_prediction(self):
-        band = B.BoundaryBand(band=np.array([[True]]), b=np.array([1.0]), n=1)
-        pred = T.Tensor(np.array([[0.5]]))
-        umap = B.uncertainty_map(pred, band)
-        assert abs(B.usd_loss(pred, band, umap.v).item() - math.log(2.0)) < 1e-12
+        band, mask = batch1([[True]]), batch1([[1.0]])
+        pred = T.Tensor(batch1([[0.5]]))
+        v = B.uncertainty_map(pred, band)
+        assert abs(B.usd_loss(pred, mask, band, v).item() - math.log(2.0)) < 1e-12
 
     def test_forced_double_weight(self):
-        band = B.BoundaryBand(band=np.array([[True]]), b=np.array([1.0]), n=1)
-        pred = T.Tensor(np.array([[0.5]]))
-        forced_v = T.Tensor(np.array([[1.0]]))
-        assert abs(B.usd_loss(pred, band, forced_v).item() - 2.0 * math.log(2.0)) < 1e-12
+        band, mask = batch1([[True]]), batch1([[1.0]])
+        pred = T.Tensor(batch1([[0.5]]))
+        forced_v = T.Tensor(batch1([[1.0]]))
+        assert abs(B.usd_loss(pred, mask, band, forced_v).item() - 2.0 * math.log(2.0)) < 1e-12
 
     def test_perfect_prediction_tiny_loss(self):
-        mask = square_mask()
+        mask = batch1(square_mask())
         pred = T.Tensor(mask.astype(np.float64))
-        assert 0.0 <= B.usd_from_mask(pred, mask, width=2).item() <= 1e-6
+        assert 0.0 <= B.usd_batch(pred, mask, width=2).item() <= 1e-6
 
     def test_empty_band_returns_zero(self):
-        mask = np.zeros((8, 8), dtype=np.uint8)
-        pred = T.Tensor(np.full((8, 8), 0.3))
-        assert B.usd_from_mask(pred, mask).item() == 0.0
+        mask = batch1(np.zeros((8, 8), dtype=np.uint8))
+        pred = T.Tensor(np.full((1, 1, 8, 8), 0.3))
+        assert B.usd_batch(pred, mask).item() == 0.0
 
     def test_equals_band_bce_when_uniform(self):
         # all band predictions equal -> V = 0 -> plain band-restricted BCE
         mask = square_mask()
         band = B.boundary_band(mask, width=1)
-        pred = T.Tensor(np.full((16, 16), 0.4))
-        got = B.usd_from_mask(pred, mask, width=1).item()
+        pred = T.Tensor(np.full((1, 1, 16, 16), 0.4))
+        got = B.usd_batch(pred, batch1(mask), width=1).item()
         bce = -(band.b * math.log(0.4) + (1 - band.b) * math.log(0.6)).mean()
         assert abs(got - bce) < 1e-12
 
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            mask = (rng.random((12, 12)) < 0.4).astype(np.uint8)
-            pred = T.Tensor(rng.random((12, 12)))
-            assert B.usd_from_mask(pred, mask).item() >= 0.0
+            mask = (rng.random((1, 1, 12, 12)) < 0.4).astype(np.uint8)
+            pred = T.Tensor(rng.random((1, 1, 12, 12)))
+            assert B.usd_batch(pred, mask).item() >= 0.0
 
     def test_gradient_matches_finite_differences(self):
-        mask = square_mask(12, 4, 8)
+        mask = batch1(square_mask(12, 4, 8))
         rng = np.random.default_rng(30)
-        pred = T.Tensor(rng.uniform(0.2, 0.8, size=(12, 12)), requires_grad=True)
+        pred = T.Tensor(rng.uniform(0.2, 0.8, size=(1, 1, 12, 12)), requires_grad=True)
 
         def f(params):
-            return B.usd_from_mask(params[0], mask, width=1)
+            return B.usd_batch(params[0], mask, width=1)
 
         assert T.finite_diff_check(f, [pred]) < 1e-4
 
     def test_detached_uncertainty_changes_gradient(self):
-        mask = square_mask(12, 4, 8)
+        mask = batch1(square_mask(12, 4, 8))
         rng = np.random.default_rng(31)
-        base = rng.uniform(0.2, 0.8, size=(12, 12))
+        base = rng.uniform(0.2, 0.8, size=(1, 1, 12, 12))
 
         pred_a = T.Tensor(base.copy(), requires_grad=True)
-        T.backward(B.usd_from_mask(pred_a, mask, width=1, detach_uncertainty=False))
+        T.backward(B.usd_batch(pred_a, mask, width=1, detach_uncertainty=False))
         pred_d = T.Tensor(base.copy(), requires_grad=True)
-        T.backward(B.usd_from_mask(pred_d, mask, width=1, detach_uncertainty=True))
+        T.backward(B.usd_batch(pred_d, mask, width=1, detach_uncertainty=True))
         assert not np.allclose(pred_a.grad, pred_d.grad)
 
         # detached variant pins (1+V): its gradient is the weighted-BCE one
-        band = B.boundary_band(mask, width=1)
-        weights = 1.0 + B.uncertainty_map(T.Tensor(base), band).v.data
+        band = batch1(B.boundary_band(mask[0, 0], width=1).band)
+        weights = 1.0 + B.uncertainty_map(T.Tensor(base), band).data
         pred_r = T.Tensor(base.copy(), requires_grad=True)
-        truth = np.zeros((12, 12))
-        truth[band.band] = band.b
-        y, wt = T.Tensor(truth), T.Tensor(weights * band.band)
+        y, wt = T.Tensor(mask * band), T.Tensor(weights * band)
         p = T.clamp(pred_r, B.PROB_EPS, 1 - B.PROB_EPS)
         ce = T.add(T.mul(y, T.log(p)),
                    T.mul(T.sub(T.Tensor(np.asarray(1.0)), y),
                          T.log(T.sub(T.Tensor(np.asarray(1.0)), p))))
-        ref = T.div(T.neg(T.tsum(T.mul(wt, ce))), T.Tensor(np.asarray(float(band.n))))
+        ref = T.div(T.neg(T.tsum(T.mul(wt, ce))), T.Tensor(np.asarray(float(band.sum()))))
         T.backward(ref)
         np.testing.assert_allclose(pred_d.grad, pred_r.grad, atol=1e-12)
 
     def test_batch_is_mean_of_per_image_losses(self):
         rng = np.random.default_rng(40)
-        masks = np.stack([square_mask()[None], np.zeros((1, 16, 16), dtype=np.uint8)])
+        masks = np.stack([batch1(square_mask())[0], np.zeros((1, 16, 16), dtype=np.uint8)])
         pred_arr = rng.uniform(0.1, 0.9, size=(2, 1, 16, 16))
         batch = B.usd_batch(T.Tensor(pred_arr), masks, width=1).item()
-        singles = [B.usd_from_mask(T.Tensor(pred_arr[i, 0]), masks[i, 0], width=1).item()
+        singles = [B.usd_batch(T.Tensor(pred_arr[i:i + 1]), masks[i:i + 1], width=1).item()
                    for i in range(2)]
         assert abs(batch - float(np.mean(singles))) < 1e-12

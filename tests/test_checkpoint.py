@@ -1,7 +1,13 @@
 """Binary checkpoint format: round trips, header checks, truncation."""
 
+import gc
+import struct
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalseg.checkpoint import (
     HASH_BYTES,
@@ -127,3 +133,76 @@ def test_empty_arrays_round_trip(tmp_path):
     save_checkpoint(path, {}, k=8, config_hash=HASH)
     ckpt = load_checkpoint(path)
     assert ckpt.arrays == {} and ckpt.k == 8
+
+
+def test_missing_or_unreadable_path(tmp_path):
+    with pytest.raises(CheckpointError, match="cannot read"):
+        load_checkpoint(tmp_path / "absent.ckpt")
+    with pytest.raises(CheckpointError, match="cannot read"):
+        load_checkpoint(tmp_path)  # a directory
+
+
+def test_load_closes_its_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _arrays(), k=16, config_hash=HASH)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_checkpoint(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def _record(name: bytes, value: float) -> bytes:
+    return struct.pack("<I", len(name)) + name + struct.pack("<BBI", 0, 1, 1) + \
+        np.float32(value).tobytes()
+
+
+def _header() -> bytes:
+    return MAGIC + struct.pack("<II", 1, 4) + HASH
+
+
+def test_rejects_non_utf8_name(tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_header() + _record(b"\xff\xfe", 1.0))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def test_rejects_duplicate_name(tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_header() + _record(b"w", 1.0) + _record(b"w", 2.0))
+    with pytest.raises(CheckpointError, match="duplicate array name 'w'"):
+        load_checkpoint(path)
+
+
+def test_dims_whose_product_wraps_int64_read_as_truncated(tmp_path):
+    # 2^21 * 2^21 * 2^22 = 2^64 elements: an int64 product would wrap to 0
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_header() + struct.pack("<I", 1) + b"w" + struct.pack("<BB", 0, 3)
+                     + struct.pack("<3I", 2**21, 2**21, 2**22))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def valid_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "valid.ckpt"
+    save_checkpoint(path, _arrays(), k=16, config_hash=HASH)
+    return path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_corrupt_bytes_raise_only_checkpoint_error(valid_bytes, tmp_path_factory, data):
+    raw = bytearray(valid_bytes[:data.draw(st.integers(0, len(valid_bytes)), label="cut")])
+    flips = data.draw(st.lists(st.tuples(st.integers(0, max(len(raw) - 1, 0)),
+                                         st.integers(1, 255)), max_size=4), label="flips")
+    for pos, bits in flips:
+        if raw:
+            raw[pos] ^= bits
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(bytes(raw))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

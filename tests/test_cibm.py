@@ -41,21 +41,21 @@ class TestMixingWeights:
         picks = [2, 0, 3]
         for row, k in enumerate(picks):
             weights.logits.tensor.data[row, k] = 1000.0
-        z = latent([1.5, -2.0, 0.25, 7.0])
+        z = latent([[1.5, -2.0, 0.25, 7.0]])
         out = cibm.mix(weights, z)
-        np.testing.assert_array_equal(out.data, z.z.data[picks])
+        np.testing.assert_array_equal(out.data, z.z.data[:, picks])
 
     def test_uniform_row_averages(self):
         reg = T.ParameterRegistry()
         weights = cibm.MixingWeights(reg, 0, n=2, k=4)
-        z = latent([1.0, 2.0, 3.0, 6.0])
-        np.testing.assert_allclose(cibm.mix(weights, z).data, [3.0, 3.0], atol=1e-12)
+        z = latent([[1.0, 2.0, 3.0, 6.0]])
+        np.testing.assert_allclose(cibm.mix(weights, z).data, [[3.0, 3.0]], atol=1e-12)
 
     def test_k_equals_one_repeats(self):
         reg = T.ParameterRegistry()
         weights = cibm.MixingWeights(reg, 0, n=4, k=1)
-        out = cibm.mix(weights, latent([2.5]))
-        np.testing.assert_array_equal(out.data, np.full(4, 2.5))
+        out = cibm.mix(weights, latent([[2.5]]))
+        np.testing.assert_array_equal(out.data, np.full((1, 4), 2.5))
 
     def test_batched_latents(self):
         reg = T.ParameterRegistry()
@@ -70,12 +70,14 @@ class TestMixingWeights:
         reg = T.ParameterRegistry()
         weights = cibm.MixingWeights(reg, 0, n=2, k=3)
         with pytest.raises(T.ShapeError, match="K mismatch"):
-            cibm.mix(weights, latent([1.0, 2.0]))
+            cibm.mix(weights, latent([[1.0, 2.0]]))
+        with pytest.raises(T.ShapeError):
+            cibm.mix(weights, latent([1.0, 2.0, 3.0]))  # unbatched latents
 
     def test_gradient_reaches_logits_and_z(self):
         reg = T.ParameterRegistry()
         weights = cibm.MixingWeights(reg, 0, n=2, k=3)
-        z = latent([1.0, -4.0, 2.0])
+        z = latent([[1.0, -4.0, 2.0]])
         z.z.requires_grad = True
         T.backward(T.tsum(cibm.mix(weights, z)))
         assert np.any(weights.logits.tensor.grad != 0.0)
@@ -97,7 +99,7 @@ class TestFuse:
         gate.conv1.bias.tensor.data[:] = 20.0
         rng = np.random.default_rng(1)
         feature = T.Tensor(rng.normal(size=(1, 3, 4, 4)).astype(np.float32))
-        mixed = T.Tensor(np.zeros(3, dtype=np.float32))
+        mixed = T.Tensor(np.zeros((1, 3), dtype=np.float32))
         out = cibm.fuse(feature, mixed, gate)
         np.testing.assert_allclose(out.data, feature.data, atol=1e-4)
 
@@ -107,7 +109,7 @@ class TestFuse:
         gate.conv1.bias.tensor.data[:] = -20.0
         rng = np.random.default_rng(4)
         feature = T.Tensor(rng.normal(size=(1, 3, 4, 4)).astype(np.float32))
-        mixed = T.Tensor(rng.normal(size=3).astype(np.float32))
+        mixed = T.Tensor(rng.normal(size=(1, 3)).astype(np.float32))
         out = cibm.fuse(feature, mixed, gate)
         np.testing.assert_allclose(out.data, np.zeros((1, 3, 4, 4)), atol=1e-4)
 
@@ -122,7 +124,7 @@ class TestFuse:
         reg, gate = make_gate(3, seed=7)
         feature = T.Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
         with pytest.raises(T.ShapeError, match="mixed length"):
-            cibm.fuse(feature, T.Tensor(np.zeros(5, dtype=np.float32)), gate)
+            cibm.fuse(feature, T.Tensor(np.zeros((1, 5), dtype=np.float32)), gate)
 
     def test_gradient_matches_finite_differences(self):
         reg = T.ParameterRegistry()
@@ -131,11 +133,11 @@ class TestFuse:
         gate = cibm.ChannelGate(reg, 0, 2, rng, dtype=np.float64)
         weights.logits.tensor.data[:] = rng.normal(size=(2, 3))
         feat_arr = rng.normal(size=(1, 2, 4, 4))
-        z_arr = rng.normal(size=3)
+        z_arr = rng.normal(size=(1, 3))
 
         def f(params):
             feature, z = params
-            mixed = cibm.mix(weights, LatentSample(z=z, frozen_eps=np.zeros(3)))
+            mixed = cibm.mix(weights, LatentSample(z=z, frozen_eps=np.zeros((1, 3))))
             return T.tmean(T.mul(cibm.fuse(feature, mixed, gate), cibm.fuse(feature, mixed, gate)))
 
         feature = T.Tensor(feat_arr, requires_grad=True)
@@ -145,7 +147,7 @@ class TestFuse:
     def test_all_parameters_receive_finite_gradients(self):
         reg = T.ParameterRegistry()
         pipe = cibm.InterventionPipeline(reg, stage_channels=(4, 2), k=3, rng=derive_rng(12))
-        hook = pipe.hook(latent([0.5, -1.0, 2.0], dtype=np.float32))
+        hook = pipe.hook(latent([[0.5, -1.0, 2.0]], dtype=np.float32))
         rng = np.random.default_rng(13)
         total = None
         for stage, n in enumerate((4, 2)):
@@ -161,7 +163,7 @@ class TestPipeline:
     def test_shared_latent_across_stages(self):
         reg = T.ParameterRegistry()
         pipe = cibm.InterventionPipeline(reg, stage_channels=(3, 2), k=4, rng=derive_rng(14))
-        z = latent([1.0, 2.0, 3.0, 4.0], dtype=np.float32)
+        z = latent([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
         hook = pipe.hook(z)
         rng = np.random.default_rng(15)
         outs = [hook(s, T.Tensor(rng.normal(size=(1, n, 4, 4)).astype(np.float32)))
@@ -172,7 +174,7 @@ class TestPipeline:
     def test_stage_out_of_range(self):
         reg = T.ParameterRegistry()
         pipe = cibm.InterventionPipeline(reg, stage_channels=(3,), k=2, rng=derive_rng(16))
-        hook = pipe.hook(latent([1.0, 2.0], dtype=np.float32))
+        hook = pipe.hook(latent([[1.0, 2.0]], dtype=np.float32))
         with pytest.raises(T.ShapeError, match="stage"):
             hook(1, T.Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32)))
 

@@ -1,11 +1,13 @@
 """End-to-end CLI coverage through main(argv)."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from causalseg.cli import main
+from causalseg.cli import _config_from_args, build_parser, main
+from causalseg.config import TrainConfig, load_train_config
 from causalseg.data import read_pgm
 from causalseg.train import METRICS_COLUMNS
 
@@ -175,3 +177,75 @@ def test_config_file_plus_flag_overrides(tmp_path, capsys):
     assert main(["train", "--seed", "0", "--config", str(cfg),
                  "--out", str(out)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_train_divergence_exits_2(tmp_path, capsys):
+    argv = ["train", "--seed", "0", "--n-samples", "16", "--size", "16", "--batch", "4",
+            "--epochs", "2", "--k", "4", "--no-augment", "--lr", "1000",
+            "--weight-decay", "0", "--out", str(tmp_path / "run")]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+# -- one schema: every TrainConfig field is a config key and a flag ----------
+
+_STR_SAMPLES = {"schedule": "constant", "data": "elsewhere"}
+
+
+def _sample(field):
+    """A valid non-default value of the field's declared type."""
+    if field.type is bool:
+        return not field.default
+    if field.type is int:
+        return field.default + 8  # keeps size a multiple of 8
+    if field.type is float:
+        return field.default / 2
+    return _STR_SAMPLES[field.name]
+
+
+def _flags(field, value):
+    flag = "--" + field.name.replace("_", "-")
+    if field.type is bool:
+        return [flag if value else "--no-" + flag[2:]]
+    return [flag, str(value)]
+
+
+def test_every_field_is_a_config_key_of_its_type(tmp_path):
+    samples = {f.name: _sample(f) for f in fields(TrainConfig)}
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{name} = {value}\n" for name, value in samples.items()))
+    cfg = load_train_config(path)
+    for f in fields(TrainConfig):
+        value = getattr(cfg, f.name)
+        assert type(value) is f.type and value == samples[f.name], f.name
+
+
+def test_every_field_is_a_train_flag_of_its_type():
+    parser = build_parser()
+    samples = {f.name: _sample(f) for f in fields(TrainConfig)}
+    argv = ["train", "--out", "x"]
+    for f in fields(TrainConfig):
+        argv += _flags(f, samples[f.name])
+    cfg = _config_from_args(parser.parse_args(argv))
+    for f in fields(TrainConfig):
+        value = getattr(cfg, f.name)
+        assert type(value) is f.type and value == samples[f.name], f.name
+
+    # bools take both polarities
+    for f in fields(TrainConfig):
+        if f.type is bool:
+            for value in (True, False):
+                args = parser.parse_args(["train", "--seed", "0", "--out", "x",
+                                          *_flags(f, value)])
+                assert getattr(args, f.name) is value
+
+
+def test_train_flag_set_is_exactly_the_schema():
+    train = build_parser()._subparsers._group_actions[0].choices["train"]
+    options = {opt for action in train._actions for opt in action.option_strings}
+    expected = {"-h", "--help", "--config", "--seed", "--out", "--resume"}
+    for f in fields(TrainConfig):
+        flag = "--" + f.name.replace("_", "-")
+        expected |= {flag, "--no-" + flag[2:]} if f.type is bool else {flag}
+    assert options == expected

@@ -152,6 +152,10 @@ class TestGaussianSetValidation:
         with pytest.raises(T.NonFiniteError):
             gsm.GaussianSet.from_arrays([np.nan], [1.0])
 
+    def test_nan_sigma_is_nonfinite_not_nonpositive(self):
+        with pytest.raises(T.NonFiniteError):
+            gsm.GaussianSet.from_arrays([0.0], [np.nan])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(T.ShapeError):
             gsm.GaussianSet(T.Tensor([0.0, 0.0]), T.Tensor([1.0]), 2)

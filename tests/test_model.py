@@ -38,8 +38,8 @@ def test_backbone_identical_across_variants():
     # per-component init streams: adding heads must not shift backbone init
     plain = SegModel(ModelConfig(use_gsm=False, use_cibm=False, **CFG), seed=3)
     full = SegModel(ModelConfig(use_gsm=True, use_cibm=True, **CFG), seed=3)
-    plain_arrays = plain.named_arrays()
-    full_arrays = full.named_arrays()
+    plain_arrays = plain.registry.named_arrays()
+    full_arrays = full.registry.named_arrays()
     backbone_names = [n for n in plain_arrays if n.startswith("backbone.")]
     assert backbone_names
     for name in backbone_names:
@@ -48,10 +48,10 @@ def test_backbone_identical_across_variants():
 
 def test_backbone_only_has_no_extra_params():
     plain = SegModel(ModelConfig(use_gsm=False, use_cibm=False, **CFG), seed=0)
-    names = set(plain.named_arrays())
+    names = set(plain.registry.named_arrays())
     assert all(n.startswith("backbone.") for n in names)
     full = SegModel(ModelConfig(use_gsm=True, use_cibm=True, **CFG), seed=0)
-    assert names < set(full.named_arrays())
+    assert names < set(full.registry.named_arrays())
 
 
 def test_inference_ignores_mask_head():
@@ -136,7 +136,7 @@ def test_load_arrays_round_trip():
     src = SegModel(ModelConfig(**CFG), seed=0)
     dst = SegModel(ModelConfig(**CFG), seed=1)
     before = dst.forward(images, training=False).pred.data.copy()
-    dst.load_arrays(src.named_arrays())
+    dst.load_arrays(src.registry.named_arrays())
     after = dst.forward(images, training=False).pred.data
     assert not np.array_equal(before, after)
     np.testing.assert_array_equal(after, src.forward(images, training=False).pred.data)
@@ -144,7 +144,7 @@ def test_load_arrays_round_trip():
 
 def test_load_arrays_missing_name():
     model = SegModel(ModelConfig(**CFG), seed=0)
-    arrays = model.named_arrays()
+    arrays = model.registry.named_arrays()
     arrays.pop(sorted(arrays)[0])
     with pytest.raises(KeyError, match="missing"):
         model.load_arrays(arrays)
@@ -152,7 +152,7 @@ def test_load_arrays_missing_name():
 
 def test_load_arrays_shape_mismatch():
     model = SegModel(ModelConfig(**CFG), seed=0)
-    arrays = model.named_arrays()
+    arrays = model.registry.named_arrays()
     name = sorted(arrays)[0]
     arrays[name] = np.zeros(np.asarray(arrays[name]).size + 1, dtype=np.float32)
     with pytest.raises(T.ShapeError, match=name.split(".")[0]):

@@ -23,7 +23,7 @@ from causalseg.train import (
     load_dataset,
     schedule_lr,
 )
-from causalseg.checkpoint import load_checkpoint
+from causalseg.checkpoint import load_checkpoint, save_checkpoint
 from causalseg.rngs import derive_rng
 
 TINY = dict(n_samples=6, size=16, batch=2, epochs=3, k=4, augment=False,
@@ -160,8 +160,8 @@ def test_resume_replays_uninterrupted_run(tmp_path):
     resumed = fit(cfg, csv_path=resumed_csv, checkpoint_path=ckpt, resume=ckpt)
 
     # params, velocity, and the metrics file all match bit for bit
-    for name, arr in straight.model.named_arrays().items():
-        np.testing.assert_array_equal(arr, resumed.model.named_arrays()[name])
+    for name, arr in straight.model.registry.named_arrays().items():
+        np.testing.assert_array_equal(arr, resumed.model.registry.named_arrays()[name])
     for name, buf in straight.optimizer.velocity.items():
         np.testing.assert_array_equal(buf, resumed.optimizer.velocity[name])
     assert straight_csv.read_bytes() == resumed_csv.read_bytes()
@@ -201,6 +201,32 @@ def test_fit_aborts_on_non_finite(tmp_path):
                          "use_gsm": False, "use_cibm": False}).validate()
     with pytest.raises(TrainingError, match=r"epoch \d+ step \d+"):
         fit(cfg, records=records)
+
+
+DIVERGENT = dict(n_samples=16, size=16, batch=4, epochs=2, k=4, augment=False,
+                 lr=1000.0, weight_decay=0.0, seed=0)
+
+
+def test_fit_divergence_is_a_training_error():
+    # lr=1e3 blows the weights up; the NaN then surfaces in the forward pass
+    # (GSm sigma) or the evaluation, outside the loss/backward calls
+    cfg = TrainConfig(**DIVERGENT).validate()
+    with np.errstate(all="ignore"), pytest.raises(TrainingError, match=r"epoch \d+"):
+        fit(cfg)
+
+
+@pytest.mark.parametrize("dropped", ["opt.", "meta.epoch"])
+def test_restore_rejects_incomplete_checkpoint(tmp_path, dropped):
+    cfg = TrainConfig(**TINY).validate()
+    ckpt = tmp_path / "model.ckpt"
+    fit(cfg, checkpoint_path=ckpt)
+    stored = load_checkpoint(ckpt)
+    key = next(name for name in stored.arrays if name.startswith(dropped))
+    del stored.arrays[key]
+    save_checkpoint(ckpt, stored.arrays, stored.k, stored.config_hash)
+    longer = TrainConfig(**{**TINY, "epochs": 5}).validate()
+    with pytest.raises(TrainingError, match=f"missing {key}"):
+        fit(longer, resume=ckpt)
 
 
 def test_checkpoint_written_every_epoch(tmp_path):

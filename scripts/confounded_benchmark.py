@@ -17,7 +17,7 @@ from causalseg.config import TrainConfig
 from causalseg.data import write_pgm
 from causalseg.losses import entropy_map
 from causalseg.tensor import Tensor
-from causalseg.train import evaluate_model, fit
+from causalseg.train import evaluate_model, fit, predict
 
 
 def main():
@@ -53,9 +53,9 @@ def main():
 
     dump_dir = out / "diagnostics"
     dump_dir.mkdir(exist_ok=True)
-    for rec in result.test_records[:args.dumps]:
-        pred = result.model.forward(rec.image[None].astype(np.float32),
-                                    training=False).pred.data[0, 0]
+    dumped = result.test_records[:args.dumps]
+    preds = predict(result.model, [rec.image for rec in dumped], cfg.batch)
+    for rec, pred in zip(dumped, preds):
         band = boundary_band(rec.mask, cfg.band_width)
         edges = sobel_magnitude(rec.mask)
         write_pgm(dump_dir / f"{rec.stem}.image.pgm", rec.image)

@@ -23,7 +23,7 @@ from .losses import entropy_map
 from .model import SegModel
 from .tensor import Tensor
 from .train import (SGD, TrainingError, ablate_k, ablate_modules, evaluate_model, fit,
-                    gradient_check, load_dataset, restore_training_state)
+                    gradient_check, load_dataset, predict, restore_training_state)
 
 
 def _add_config_flags(parser, require_seed=False):
@@ -128,10 +128,9 @@ def cmd_entropy(args):
     records = load_dataset(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for i, rec in enumerate(records):
-        result = model.forward(rec.image[None].astype(np.float32), training=False)
-        ent = entropy_map(result.pred.data[0, 0])
-        write_pgm(outdir / f"{rec.stem or i}.entropy.pgm", ent)
+    preds = predict(model, [rec.image for rec in records], cfg.batch)
+    for i, (rec, pred) in enumerate(zip(records, preds)):
+        write_pgm(outdir / f"{rec.stem or i}.entropy.pgm", entropy_map(pred))
     print(f"wrote {len(records)} entropy maps to {outdir}")
     return 0
 
@@ -179,9 +178,8 @@ def cmd_inspect_band(args):
     emitted = ["band", "sobel"]
     if args.checkpoint:
         model, _ = _load_model(args, cfg)
-        result = model.forward(rec.image[None].astype(np.float32), training=False)
-        pred = result.pred.data.astype(np.float64)
-        v = uncertainty_map(Tensor(pred), band.band[None, None]).data[0, 0]
+        pred = predict(model, rec.image[None], 1).astype(np.float64)
+        v = uncertainty_map(Tensor(pred[:, None]), band.band[None, None]).data[0, 0]
         write_pgm(outdir / f"{stem}.uncertainty.pgm", v / max(v.max(), 1e-12))
         emitted.append("uncertainty")
     print(f"band pixels: {band.n}; wrote {', '.join(emitted)} maps to {outdir}")

@@ -22,8 +22,7 @@ class Conv2d:
         self.bias = reg.add(f"{name}.bias", np.zeros(c_out, dtype=dtype))
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        out = T.conv2d(x, self.weight.tensor)
-        return T.add(out, T.reshape(self.bias.tensor, (1, -1, 1, 1)))
+        return T.conv2d(x, self.weight.tensor, self.bias.tensor)
 
 
 class Linear:

@@ -263,8 +263,9 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     out_data = x * phi_cdf
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return _unary(a, out_data.astype(x.dtype), lambda g: g * (phi_cdf + x * pdf))
+    # the Gaussian pdf is needed only for the gradient
+    return _unary(a, out_data.astype(x.dtype, copy=False),
+                  lambda g: g * (phi_cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -401,8 +402,11 @@ def avgpool2(a: Tensor) -> Tensor:
         raise ShapeError(f"avgpool2 expects an NCHW tensor, got shape {a.shape}")
     if a.shape[2] % 2 or a.shape[3] % 2:
         raise ShapeError(f"avgpool2: spatial dims of {a.shape} must be even")
-    n, c, h, w = a.shape
-    out_data = a.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    x = a.data
+    # four strided slices: a reduction over the 2x2 axes is several times
+    # slower, and its summation order would depend on the memory layout
+    out_data = (x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
+                + x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2]) / 4.0
 
     def da(g):
         return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0).astype(a.data.dtype)
@@ -424,10 +428,25 @@ def upsample_nearest2(a: Tensor) -> Tensor:
 
 # -- convolution -----------------------------------------------------------
 
-def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Shape-preserving stride-1 cross-correlation, kernels 1x1 or 3x3.
+def _im2col(a: np.ndarray, k: int) -> np.ndarray:
+    """(N, C, H, W) -> channel-major patches (C*k*k, N*H*W), zero padding (k-1)/2."""
+    n, c, h, w = a.shape
+    if k == 1:
+        return a.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+    pad = (k - 1) // 2
+    ap = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=a.dtype)
+    ap[:, :, pad:pad + h, pad:pad + w] = a
+    win = np.lib.stride_tricks.sliding_window_view(ap, (k, k), axis=(2, 3))
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * h * w)
 
-    x: (N, C, H, W); kernel: (O, C, k, k); zero padding (k-1)/2.
+
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Shape-preserving stride-1 cross-correlation plus an optional bias,
+    kernels 1x1 or 3x3.
+
+    x: (N, C, H, W); kernel: (O, C, k, k); bias: (O,); zero padding
+    (k-1)/2.  The im2col matrix is channel-major, (C*k*k, N*H*W), so each
+    row is copied along contiguous W, and backward reuses it.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input and OCkk kernel, got {x.shape}, {kernel.shape}")
@@ -437,32 +456,31 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError(f"conv2d supports 1x1 and 3x3 kernels, got {kh}x{kw}")
     if ck != c:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, kernel expects {ck}")
+    if bias is not None and bias.shape != (o,):
+        raise ShapeError(f"conv2d bias must have shape ({o},), got {bias.shape}")
     k = kh
-    pad = (k - 1) // 2
-
-    if pad:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    else:
-        xp = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, c * k * k)
+    cols = _im2col(x.data, k)
     wmat = kernel.data.reshape(o, c * k * k)
-    out_data = (cols @ wmat.T).reshape(n, h, w, o).transpose(0, 3, 1, 2)
+    out_cm = wmat @ cols
+    if bias is not None:
+        out_cm += bias.data[:, None]
+    out_data = out_cm.reshape(o, n, h, w).transpose(1, 0, 2, 3)
 
-    req = x.requires_grad or kernel.requires_grad
-    out = Tensor(out_data, requires_grad=req, _parents=(x, kernel))
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    req = any(p.requires_grad for p in parents)
+    out = Tensor(out_data, requires_grad=req, _parents=parents)
 
     def _bw(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(n * h * w, o)
+        g2 = g.transpose(1, 0, 2, 3).reshape(o, n * h * w)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g2.sum(axis=1))
         if kernel.requires_grad:
-            kernel._accumulate((g2.T @ cols).reshape(o, c, k, k))
+            kernel._accumulate((g2 @ cols.T).reshape(o, c, k, k))
         if x.requires_grad:
-            gcols = (g2 @ wmat).reshape(n, h, w, c, k, k)
-            gxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, :, i:i + h, j:j + w] += gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            x._accumulate(gxp[:, :, pad:pad + h, pad:pad + w] if pad else gxp)
+            # grad-x is the convolution of g with the flipped, channel-swapped kernel
+            flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
+            gx = flipped @ _im2col(g, k)
+            x._accumulate(gx.reshape(c, n, h, w).transpose(1, 0, 2, 3))
 
     out._backward = _bw if req else None
     return out

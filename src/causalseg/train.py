@@ -52,6 +52,8 @@ class SGD:
             v *= np.asarray(self.momentum, dtype=v.dtype)
             v += g
             t.data -= np.asarray(lr, dtype=t.data.dtype) * v
+            if not np.isfinite(t.data).all():
+                raise T.NonFiniteError(f"parameter {param.name} non-finite after SGD step")
 
 
 def cosine_lr(lr0: float, epoch: int, total_epochs: int) -> float:
@@ -126,15 +128,23 @@ def _stack_batch(records, idx, cfg, rng):
     return np.stack(images).astype(np.float32), np.stack(masks).astype(np.float32)
 
 
+def predict(model: SegModel, images, batch: int, rng=None) -> np.ndarray:
+    """Inference probabilities (N,H,W) for (N,H,W) images, ``batch`` per forward.
+
+    With ``rng`` the latents are drawn from it in record order, so the draws
+    do not depend on ``batch``; without it they are the distribution means.
+    """
+    images = np.asarray(images, dtype=model.dtype)
+    preds = [model.forward(images[i:i + batch], training=False, rng=rng).pred.data[:, 0]
+             for i in range(0, len(images), batch)]
+    return np.concatenate(preds) if preds else np.zeros(images.shape, dtype=model.dtype)
+
+
 def evaluate_model(model: SegModel, records, cfg: TrainConfig) -> tuple[list, dict]:
     """Inference-mode metrics per record plus their means (PCB untouched)."""
     rng = derive_rng(cfg.seed, "eval") if cfg.stochastic_eval else None
-    per_image = []
-    for rec in records:
-        image = rec.image[None].astype(np.float32)
-        result = model.forward(image, training=False, rng=rng)
-        pred = result.pred.data[0, 0]
-        per_image.append(metrics(pred, rec.mask.astype(np.float64)))
+    preds = predict(model, [rec.image for rec in records], cfg.batch, rng)
+    per_image = [metrics(pred, rec.mask.astype(np.float64)) for pred, rec in zip(preds, records)]
     mean = {name: float(np.mean([getattr(m, name) for m in per_image]) if per_image else 0.0)
             for name in ("dice", "iou", "fdr", "auc")}
     return per_image, mean
@@ -194,43 +204,45 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
             writer.writeheader()
 
     try:
-        for epoch in range(start_epoch, cfg.epochs):
-            where = f"epoch {epoch}"
-            lr = schedule_lr(cfg, epoch)
-            erng = derive_rng(cfg.seed, "epoch", epoch)
-            order = erng.permutation(len(train_records))
-            sums = {k: 0.0 for k in ("total", "bce", "dice", "kl", "usd")}
-            steps = 0
-            for step, idx in enumerate(batches(order, cfg.batch)):
-                where = f"epoch {epoch} step {step}"
-                images, masks = _stack_batch(train_records, idx, cfg,
-                                             erng if cfg.augment else None)
-                result = model.forward(images, masks, training=True, rng=erng)
-                bundle = compute_losses(result, masks, cfg)
-                model.registry.zero_grad()
-                T.backward(bundle.total)
-                opt.step(lr)
-                for key, value in bundle.values().items():
-                    if key in sums:
-                        sums[key] += value
-                steps += 1
-            losses = {k: v / max(steps, 1) for k, v in sums.items()}
-            where = f"epoch {epoch} evaluation"
-            _, test_mean = evaluate_model(model, test_records, cfg)
-            stats = EpochStats(epoch=epoch, losses=losses, test=test_mean)
-            history.append(stats)
-            if writer is not None:
-                writer.writerow(stats.row())
-                csv_file.flush()
-            if checkpoint_path is not None:
-                save_training_state(checkpoint_path, model, opt, epoch + 1)
-            if log is not None:
-                log(f"epoch {epoch:3d} lr {lr:.2e} loss {losses['total']:.4f} "
-                    f"test dice {test_mean['dice']:.4f}")
-            if stop_at_dice is not None:
-                _, train_mean = evaluate_model(model, train_records, cfg)
-                if train_mean["dice"] >= stop_at_dice:
-                    break
+        # every non-finite value ends in a named error, so numpy's warnings are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(start_epoch, cfg.epochs):
+                where = f"epoch {epoch}"
+                lr = schedule_lr(cfg, epoch)
+                erng = derive_rng(cfg.seed, "epoch", epoch)
+                order = erng.permutation(len(train_records))
+                sums = {k: 0.0 for k in ("total", "bce", "dice", "kl", "usd")}
+                steps = 0
+                for step, idx in enumerate(batches(order, cfg.batch)):
+                    where = f"epoch {epoch} step {step}"
+                    images, masks = _stack_batch(train_records, idx, cfg,
+                                                 erng if cfg.augment else None)
+                    result = model.forward(images, masks, training=True, rng=erng)
+                    bundle = compute_losses(result, masks, cfg)
+                    model.registry.zero_grad()
+                    T.backward(bundle.total)
+                    opt.step(lr)
+                    for key, value in bundle.values().items():
+                        if key in sums:
+                            sums[key] += value
+                    steps += 1
+                losses = {k: v / max(steps, 1) for k, v in sums.items()}
+                where = f"epoch {epoch} evaluation"
+                _, test_mean = evaluate_model(model, test_records, cfg)
+                stats = EpochStats(epoch=epoch, losses=losses, test=test_mean)
+                history.append(stats)
+                if writer is not None:
+                    writer.writerow(stats.row())
+                    csv_file.flush()
+                if checkpoint_path is not None:
+                    save_training_state(checkpoint_path, model, opt, epoch + 1)
+                if log is not None:
+                    log(f"epoch {epoch:3d} lr {lr:.2e} loss {losses['total']:.4f} "
+                        f"test dice {test_mean['dice']:.4f}")
+                if stop_at_dice is not None:
+                    _, train_mean = evaluate_model(model, train_records, cfg)
+                    if train_mean["dice"] >= stop_at_dice:
+                        break
     except T.NonFiniteError as exc:
         raise TrainingError(f"{where}: {exc}") from exc
     finally:

@@ -8,6 +8,7 @@ two training criteria (7 and 8) dominate the runtime of the whole suite.
 import time
 
 import numpy as np
+import pytest
 from dataclasses import replace
 
 from causalseg import gsm
@@ -163,6 +164,7 @@ def test_06_sobel_correctness():
           "(50 random masks exact, uniform masks all-zero)")
 
 
+@pytest.mark.slow
 def test_07_end_to_end_overfit():
     cfg = TrainConfig(n_samples=16, size=32, batch=8, epochs=300, k=16,
                       use_gsm=True, use_cibm=True, augment=False,
@@ -180,6 +182,7 @@ def test_07_end_to_end_overfit():
           f"{train_mean['dice']:.4f} at epoch {epochs_used}, {elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_08_ablation_direction():
     base = TrainConfig(n_samples=256, size=32, batch=8, epochs=60, k=16,
                        augment=False, lr=0.05, weight_decay=0.0,

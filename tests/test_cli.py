@@ -1,11 +1,16 @@
 """End-to-end CLI coverage through main(argv)."""
 
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalseg
 from causalseg.cli import _config_from_args, build_parser, main
 from causalseg.config import TrainConfig, load_train_config
 from causalseg.data import read_pgm
@@ -186,6 +191,22 @@ def test_train_divergence_exits_2(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(argv) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_divergent_train_prints_only_the_error(tmp_path, capfd):
+    # a fresh process, so that numpy's warnings reach stderr as they would
+    # from the command line rather than pytest's warning capture
+    src = Path(causalseg.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = ["train", "--seed", "0", "--n-samples", "16", "--size", "16", "--batch", "4",
+            "--epochs", "2", "--k", "4", "--no-augment", "--lr", "1000",
+            "--weight-decay", "0", "--out", str(tmp_path / "run")]
+    proc = subprocess.run([sys.executable, "-m", "causalseg.cli", *argv], env=env, timeout=300)
+    err = capfd.readouterr().err
+    assert proc.returncode == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "non-finite" in err
 
 
 # -- one schema: every TrainConfig field is a config key and a flag ----------

@@ -169,6 +169,41 @@ class TestConv2d:
         with pytest.raises(T.ShapeError, match="channel"):
             T.conv2d(T.Tensor(np.ones((1, 2, 4, 4))), T.Tensor(np.ones((1, 3, 3, 3))))
 
+    def test_bias_shape_mismatch(self):
+        with pytest.raises(T.ShapeError, match="bias"):
+            T.conv2d(T.Tensor(np.ones((1, 2, 4, 4))), T.Tensor(np.ones((3, 2, 3, 3))),
+                     T.Tensor(np.ones(2)))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_batched_non_square_matches_brute_force(self, k, dtype, with_bias):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 2, 5, 7)).astype(dtype)
+        kern = rng.normal(size=(4, 2, k, k)).astype(dtype)
+        bias = rng.normal(size=4).astype(dtype) if with_bias else None
+        out = T.conv2d(T.Tensor(x), T.Tensor(kern), None if bias is None else T.Tensor(bias))
+        expected = brute_force_conv(x.astype(np.float64), kern.astype(np.float64), pad=(k - 1) // 2)
+        if with_bias:
+            expected += bias[None, :, None, None]
+        assert out.dtype == dtype and out.shape == (3, 4, 5, 7)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(out.data, expected, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_input_kernel_and_bias_gradients_match_fd(self, k):
+        rng = np.random.default_rng(9)
+        x = T.Parameter(T.Tensor(rng.normal(size=(3, 2, 4, 5))), "x")
+        kern = T.Parameter(T.Tensor(rng.normal(size=(3, 2, k, k))), "kernel")
+        bias = T.Parameter(T.Tensor(rng.normal(size=3)), "bias")
+        weights = T.Tensor(rng.normal(size=(3, 3, 4, 5)))
+
+        def f(params):
+            xp, kp, bp = (p.tensor for p in params)
+            return T.tsum(T.mul(T.gelu(T.conv2d(xp, kp, bp)), weights))
+
+        assert T.finite_diff_check(f, [x, kern, bias]) < 1e-6
+
 
 class TestBackward:
     def test_mean_square_grads(self):

@@ -21,6 +21,7 @@ from causalseg.train import (
     fit,
     gradient_check,
     load_dataset,
+    predict,
     schedule_lr,
 )
 from causalseg.checkpoint import load_checkpoint, save_checkpoint
@@ -76,6 +77,31 @@ def test_sgd_skips_unused_parameters():
     w = reg.add("w", T.Tensor(np.ones(2), requires_grad=True))
     SGD(reg, momentum=0.9, weight_decay=0.0).step(lr=1.0)
     np.testing.assert_array_equal(w.tensor.data, [1.0, 1.0])  # grad is None
+
+
+def test_sgd_rejects_a_non_finite_update():
+    reg = T.ParameterRegistry()
+    reg.add("ok", T.Tensor(np.ones(2), requires_grad=True)).tensor.grad = np.ones(2)
+    bad = reg.add("w", T.Tensor(np.ones(2), requires_grad=True))
+    bad.tensor.grad = np.array([0.0, np.inf])
+    with pytest.raises(T.NonFiniteError, match="parameter w non-finite after SGD step"):
+        SGD(reg, momentum=0.0, weight_decay=0.0).step(lr=1.0)
+
+
+def test_fit_names_the_parameter_an_infinite_step_left_non_finite(monkeypatch):
+    real_backward = T.backward
+
+    def backward_with_inf_grads(loss):
+        leaves = real_backward(loss)
+        for grad in leaves.values():
+            grad.flat[0] = np.inf
+        return leaves
+
+    monkeypatch.setattr(T, "backward", backward_with_inf_grads)
+    cfg = TrainConfig(**TINY).validate()
+    with pytest.raises(TrainingError, match=r"^epoch 0 step 0: parameter backbone\.enc0\.weight "
+                                            r"non-finite after SGD step$"):
+        fit(cfg)
 
 
 # -- loss gating -------------------------------------------------------------
@@ -250,6 +276,32 @@ def test_evaluate_deterministic_by_default():
     assert a[1] == b[1]
     assert len(a[0]) == 3
     assert set(a[1]) == {"dice", "iou", "fdr", "auc"}
+
+
+def _predict_case(**overrides):
+    cfg = TrainConfig(**{**TINY, "batch": 4, **overrides}).validate()
+    records = generate_synthetic(7, cfg.size, cfg.seed)  # 7 = 4 + a ragged 3
+    model = SegModel(cfg.model_config(), cfg.seed)
+    return cfg, model, np.stack([r.image for r in records])
+
+
+def test_predict_does_not_depend_on_batch_size():
+    cfg, model, images = _predict_case()
+    one = predict(model, images, 1)
+    batched = predict(model, images, cfg.batch)
+    assert batched.shape == images.shape
+    np.testing.assert_allclose(batched, one, rtol=1e-5, atol=1e-5)
+    single = model.forward(images[:1, None], training=False).pred.data[0, 0]
+    np.testing.assert_allclose(one[0], single, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("use_gsm", [True, False])
+def test_stochastic_predict_draws_do_not_depend_on_batch_size(use_gsm):
+    cfg, model, images = _predict_case(use_gsm=use_gsm, use_cibm=True)
+    one = predict(model, images, 1, rng=derive_rng(cfg.seed, "eval"))
+    batched = predict(model, images, cfg.batch, rng=derive_rng(cfg.seed, "eval"))
+    np.testing.assert_allclose(batched, one, rtol=1e-5, atol=1e-5)
+    assert not np.allclose(one, predict(model, images, cfg.batch), rtol=1e-5, atol=1e-5)
 
 
 def test_evaluate_empty_records():

@@ -27,7 +27,7 @@ class MixingWeights:
         self.k = k
 
     def omega(self) -> T.Tensor:
-        return T.softmax(self.logits.tensor, axis=1)
+        return T.softmax(self.logits, axis=1)
 
 
 GATE_BIAS_INIT = 2.0
@@ -43,7 +43,7 @@ class ChannelGate:
     def __init__(self, reg: T.ParameterRegistry, stage, n, rng, dtype=np.float32):
         self.conv3 = Conv2d(reg, f"cibm.stage{stage}.gate3", 2 * n, n, 3, rng, dtype)
         self.conv1 = Conv2d(reg, f"cibm.stage{stage}.gate1", n, n, 1, rng, dtype)
-        self.conv1.bias.tensor.data[:] = GATE_BIAS_INIT
+        self.conv1.bias.data[:] = GATE_BIAS_INIT
 
     def weights(self, pair: T.Tensor) -> T.Tensor:
         h = self.conv1(T.gelu(self.conv3(pair)))

@@ -22,7 +22,7 @@ class Conv2d:
         self.bias = reg.add(f"{name}.bias", np.zeros(c_out, dtype=dtype))
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        return T.conv2d(x, self.weight.tensor, self.bias.tensor)
+        return T.conv2d(x, self.weight, self.bias)
 
 
 class Linear:
@@ -31,4 +31,4 @@ class Linear:
         self.bias = reg.add(f"{name}.bias", np.zeros(n_out, dtype=dtype))
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        return T.linear(x, self.weight.tensor, self.bias.tensor)
+        return T.linear(x, self.weight, self.bias)

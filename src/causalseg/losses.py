@@ -72,24 +72,22 @@ def bce_loss(pred: T.Tensor, truth) -> T.Tensor:
 def dice_loss(pred: T.Tensor, truth) -> T.Tensor:
     """1 - (2 sum(y*p) + eps) / (sum y + sum p + eps); soft predictions.
 
-    Inputs of rank 3+ are treated as a batch along the first axis and the
-    per-sample losses averaged, matching the per-image evaluation metric.
+    The first axis is the batch (rank 3 or more): the loss is computed per
+    sample and averaged, matching the per-image evaluation metric.
     """
     y = _as_tensor(truth, pred.data.dtype)
     if y.shape != pred.shape:
         raise T.ShapeError(f"dice: pred {pred.shape} vs truth {y.shape}")
-    if pred.ndim >= 3:
-        pred = T.reshape(pred, (pred.shape[0], -1))
-        y = T.reshape(y, (y.shape[0], -1))
-        axis = 1
-    else:
-        axis = None
+    if pred.ndim < 3:
+        raise T.ShapeError(f"dice expects a batch of rank 3 or more, got shape {pred.shape}")
+    pred = T.reshape(pred, (pred.shape[0], -1))
+    y = T.reshape(y, (y.shape[0], -1))
     dtype = pred.data.dtype
     smooth = T.Tensor(np.asarray(DICE_SMOOTH, dtype=dtype))
     two = T.Tensor(np.asarray(2.0, dtype=dtype))
-    inter = T.tsum(T.mul(y, pred), axis=axis)
+    inter = T.tsum(T.mul(y, pred), axis=1)
     num = T.add(T.mul(two, inter), smooth)
-    den = T.add(T.add(T.tsum(y, axis=axis), T.tsum(pred, axis=axis)), smooth)
+    den = T.add(T.add(T.tsum(y, axis=1), T.tsum(pred, axis=1)), smooth)
     return T.sub(T.Tensor(np.asarray(1.0, dtype=dtype)), T.tmean(T.div(num, den)))
 
 

@@ -88,13 +88,12 @@ class SegModel:
 
     def load_arrays(self, arrays: dict):
         """Copy checkpoint arrays into parameters; names must match exactly."""
-        params = {p.name: p for p in self.registry.parameters()}
+        params = self.registry.tensors
         missing = sorted(set(params) - set(arrays))
         if missing:
             raise KeyError(f"checkpoint missing parameters: {', '.join(missing)}")
-        for name, param in params.items():
+        for name, t in params.items():
             src = arrays[name]
-            if src.shape != param.tensor.data.shape:
-                raise T.ShapeError(
-                    f"{name}: checkpoint shape {src.shape} != model {param.tensor.data.shape}")
-            param.tensor.data[:] = src.astype(param.tensor.data.dtype, copy=False)
+            if src.shape != t.data.shape:
+                raise T.ShapeError(f"{name}: checkpoint shape {src.shape} != model {t.data.shape}")
+            t.data[:] = src.astype(t.data.dtype, copy=False)

@@ -9,7 +9,7 @@ oracle used by every gradient-fidelity test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -77,98 +77,29 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, _coerce(other, self))
-
-    def __radd__(self, other):
-        return add(_coerce(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other, self))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-@dataclass
-class Parameter:
-    """Named learnable tensor; names are unique within a registry."""
-
-    tensor: Tensor
-    name: str
-    learnable: bool = True
-
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-
 class ParameterRegistry:
-    """Ordered name -> Parameter map owned by one model."""
+    """Ordered name -> learnable Tensor map owned by one model."""
 
     def __init__(self):
-        self._params: dict[str, Parameter] = {}
+        self.tensors: dict[str, Tensor] = {}
 
-    def add(self, name: str, array, learnable=True) -> Parameter:
-        if name in self._params:
+    def add(self, name: str, array) -> Tensor:
+        if name in self.tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Parameter(Tensor(array, requires_grad=learnable), name, learnable)
-        self._params[name] = p
-        return p
-
-    def __getitem__(self, name: str) -> Parameter:
-        return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def parameters(self) -> list[Parameter]:
-        return list(self._params.values())
+        t = Tensor(array, requires_grad=True)
+        self.tensors[name] = t
+        return t
 
     def named_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.tensor.data for name, p in self._params.items()}
+        return {name: t.data for name, t in self.tensors.items()}
 
     def zero_grad(self):
-        for p in self._params.values():
-            p.tensor.zero_grad()
-
-
-def _coerce(value, peer: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=peer.data.dtype))
+        for t in self.tensors.values():
+            t.zero_grad()
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -293,22 +224,18 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def da(g):
-        if axis is None:
-            return np.broadcast_to(g, a.shape).copy() if np.ndim(g) == 0 else np.full(a.shape, g)
-        gk = g if keepdims else np.expand_dims(g, axis)
+        gk = g if keepdims or axis is None else np.expand_dims(g, axis)
         return np.broadcast_to(gk, a.shape).copy()
 
     return _unary(a, out_data, da)
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    count = a.data.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
+    count = a.data.size if axis is None else math.prod(a.shape[ax] for ax in np.atleast_1d(axis))
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
 
     def da(g):
-        if axis is None:
-            return np.full(a.shape, g / count, dtype=a.data.dtype)
-        gk = g if keepdims else np.expand_dims(g, axis)
+        gk = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gk, a.shape) / count).astype(a.data.dtype)
 
     return _unary(a, out_data, da)
@@ -550,15 +477,14 @@ def finite_diff_check(f, params, eps=1e-5, max_probes=None, rng=None) -> float:
     |analytic - central| / max(1, |central|).  Probes every coordinate
     unless ``max_probes`` caps the count (coordinates then sampled by rng).
     """
-    tensors = [p.tensor if isinstance(p, Parameter) else p for p in params]
-    for t in tensors:
+    for t in params:
         t.requires_grad = True
         t.zero_grad()
     loss = f(params)
     backward(loss)
-    analytic = [t.grad.copy() for t in tensors]
+    analytic = [t.grad.copy() for t in params]
 
-    coords = [(pi, ci) for pi, t in enumerate(tensors) for ci in range(t.data.size)]
+    coords = [(pi, ci) for pi, t in enumerate(params) for ci in range(t.data.size)]
     if max_probes is not None and len(coords) > max_probes:
         rng = rng or np.random.default_rng(0)
         picks = rng.choice(len(coords), size=max_probes, replace=False)
@@ -566,7 +492,7 @@ def finite_diff_check(f, params, eps=1e-5, max_probes=None, rng=None) -> float:
 
     worst = 0.0
     for pi, ci in coords:
-        flat = tensors[pi].data.reshape(-1)
+        flat = params[pi].data.reshape(-1)
         saved = flat[ci]
         flat[ci] = saved + eps
         f_plus = f(params).item()

@@ -38,22 +38,21 @@ class SGD:
         self.registry = registry
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = {p.name: np.zeros_like(p.tensor.data) for p in registry.parameters()}
+        self.velocity = {name: np.zeros_like(t.data) for name, t in registry.tensors.items()}
 
     def step(self, lr: float):
-        for param in self.registry.parameters():
-            t = param.tensor
+        for name, t in self.registry.tensors.items():
             if t.grad is None:
                 continue
             g = t.grad
             if self.weight_decay:
                 g = g + np.asarray(self.weight_decay, dtype=t.data.dtype) * t.data
-            v = self.velocity[param.name]
+            v = self.velocity[name]
             v *= np.asarray(self.momentum, dtype=v.dtype)
             v += g
             t.data -= np.asarray(lr, dtype=t.data.dtype) * v
             if not np.isfinite(t.data).all():
-                raise T.NonFiniteError(f"parameter {param.name} non-finite after SGD step")
+                raise T.NonFiniteError(f"parameter {name} non-finite after SGD step")
 
 
 def cosine_lr(lr0: float, epoch: int, total_epochs: int) -> float:
@@ -281,7 +280,7 @@ def gradient_check(k=8, size=32, batch=2, seed=0, band_width=2,
         "usd": lambda r: usd_batch(r.pred, masks, band_width),
         "total": lambda r: compute_losses(r, masks, cfg).total,
     }
-    params = [p.tensor for p in model.registry.parameters()]
+    params = list(model.registry.tensors.values())
     out = {}
     for name, part in parts.items():
         def f(_, part=part):

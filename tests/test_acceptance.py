@@ -132,7 +132,7 @@ def test_05_simplex_constraint():
 
     reg = T.ParameterRegistry()
     weights = MixingWeights(reg, stage=0, n=3, k=8)
-    weights.logits.tensor.data[0, 5] = 1000.0
+    weights.logits.data[0, 5] = 1000.0
     one_hot = np.zeros(8, dtype=np.float32)
     one_hot[5] = 1.0
     np.testing.assert_array_equal(weights.omega().data[0], one_hot)

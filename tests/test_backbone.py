@@ -85,8 +85,8 @@ class TestGradients:
         image = T.Tensor(np.random.default_rng(5).random((1, 1, 8, 8), dtype=np.float32))
         logits = net.decode(net.encode(image))
         T.backward(T.tmean(T.mul(logits, logits)))
-        for param in reg.parameters():
-            assert np.all(np.isfinite(param.tensor.grad)), param.name
+        for name, t in reg.tensors.items():
+            assert np.all(np.isfinite(t.grad)), name
 
     def test_finite_difference_on_tiny_net(self):
         reg, net = make_net((2, 4), seed=6, dtype=np.float64)
@@ -97,15 +97,15 @@ class TestGradients:
             logits = net.decode(net.encode(T.Tensor(image_arr)))
             return T.tmean(T.mul(logits, logits))
 
-        params = [p.tensor for p in reg.parameters()]
+        params = list(reg.tensors.values())
         assert T.finite_diff_check(f, params, max_probes=40, rng=rng) < 1e-6
 
     def test_deterministic_construction(self):
         reg_a, net_a = make_net(seed=7)
         reg_b, net_b = make_net(seed=7)
-        for pa, pb in zip(reg_a.parameters(), reg_b.parameters()):
-            assert pa.name == pb.name
-            np.testing.assert_array_equal(pa.tensor.data, pb.tensor.data)
+        assert list(reg_a.tensors) == list(reg_b.tensors)
+        for ta, tb in zip(reg_a.tensors.values(), reg_b.tensors.values()):
+            np.testing.assert_array_equal(ta.data, tb.data)
 
 
 class TestOverfit:

@@ -30,7 +30,7 @@ class TestMixingWeights:
         weights = cibm.MixingWeights(reg, 0, n=5, k=8)
         rng = np.random.default_rng(2)
         for _ in range(10):
-            weights.logits.tensor.data[:] = rng.normal(scale=4.0, size=(5, 8)).astype(np.float32)
+            weights.logits.data[:] = rng.normal(scale=4.0, size=(5, 8)).astype(np.float32)
             omega = weights.omega().data
             np.testing.assert_allclose(omega.sum(axis=1), np.ones(5), atol=1e-6)
             assert np.all(omega >= 0.0)
@@ -40,7 +40,7 @@ class TestMixingWeights:
         weights = cibm.MixingWeights(reg, 0, n=3, k=4)
         picks = [2, 0, 3]
         for row, k in enumerate(picks):
-            weights.logits.tensor.data[row, k] = 1000.0
+            weights.logits.data[row, k] = 1000.0
         z = latent([[1.5, -2.0, 0.25, 7.0]])
         out = cibm.mix(weights, z)
         np.testing.assert_array_equal(out.data, z.z.data[:, picks])
@@ -60,7 +60,7 @@ class TestMixingWeights:
     def test_batched_latents(self):
         reg = T.ParameterRegistry()
         weights = cibm.MixingWeights(reg, 0, n=3, k=2)
-        weights.logits.tensor.data[:] = np.log(
+        weights.logits.data[:] = np.log(
             np.array([[0.25, 0.75], [0.5, 0.5], [0.9, 0.1]], dtype=np.float32))
         z = latent([[1.0, 3.0], [2.0, -2.0]])
         expected = z.z.data @ weights.omega().data.T
@@ -80,7 +80,7 @@ class TestMixingWeights:
         z = latent([[1.0, -4.0, 2.0]])
         z.z.requires_grad = True
         T.backward(T.tsum(cibm.mix(weights, z)))
-        assert np.any(weights.logits.tensor.grad != 0.0)
+        assert np.any(weights.logits.grad != 0.0)
         assert np.all(np.isfinite(z.z.grad)) and np.any(z.z.grad != 0.0)
 
 
@@ -95,8 +95,8 @@ class TestFuse:
     def test_neutral_intervention(self):
         # mixed = 0 and an S-path forced open leaves the feature unchanged
         reg, gate = make_gate(3, seed=2)
-        gate.conv1.weight.tensor.data[:] = 0.0
-        gate.conv1.bias.tensor.data[:] = 20.0
+        gate.conv1.weight.data[:] = 0.0
+        gate.conv1.bias.data[:] = 20.0
         rng = np.random.default_rng(1)
         feature = T.Tensor(rng.normal(size=(1, 3, 4, 4)).astype(np.float32))
         mixed = T.Tensor(np.zeros((1, 3), dtype=np.float32))
@@ -105,8 +105,8 @@ class TestFuse:
 
     def test_closed_gate_zeroes_output(self):
         reg, gate = make_gate(3, seed=3)
-        gate.conv1.weight.tensor.data[:] = 0.0
-        gate.conv1.bias.tensor.data[:] = -20.0
+        gate.conv1.weight.data[:] = 0.0
+        gate.conv1.bias.data[:] = -20.0
         rng = np.random.default_rng(4)
         feature = T.Tensor(rng.normal(size=(1, 3, 4, 4)).astype(np.float32))
         mixed = T.Tensor(rng.normal(size=(1, 3)).astype(np.float32))
@@ -131,7 +131,7 @@ class TestFuse:
         rng = derive_rng(11, "fd")
         weights = cibm.MixingWeights(reg, 0, n=2, k=3, dtype=np.float64)
         gate = cibm.ChannelGate(reg, 0, 2, rng, dtype=np.float64)
-        weights.logits.tensor.data[:] = rng.normal(size=(2, 3))
+        weights.logits.data[:] = rng.normal(size=(2, 3))
         feat_arr = rng.normal(size=(1, 2, 4, 4))
         z_arr = rng.normal(size=(1, 3))
 
@@ -155,8 +155,8 @@ class TestFuse:
             out = T.tsum(T.mul(hook(stage, feature), hook(stage, feature)))
             total = out if total is None else T.add(total, out)
         T.backward(total)
-        for param in reg.parameters():
-            assert np.all(np.isfinite(param.tensor.grad)), param.name
+        for name, t in reg.tensors.items():
+            assert np.all(np.isfinite(t.grad)), name
 
 
 class TestPipeline:
@@ -181,7 +181,7 @@ class TestPipeline:
     def test_parameter_names_are_per_stage(self):
         reg = T.ParameterRegistry()
         cibm.InterventionPipeline(reg, stage_channels=(3, 2), k=2, rng=derive_rng(17))
-        names = {p.name for p in reg.parameters()}
+        names = set(reg.tensors)
         assert "cibm.stage0.omega_logits" in names
         assert "cibm.stage1.omega_logits" in names
         assert "cibm.stage1.gate3.weight" in names

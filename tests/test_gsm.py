@@ -170,7 +170,7 @@ class TestGaussianSetValidation:
 class TestHeads:
     def test_zeroed_linear_gives_standard_normals(self):
         reg, head = make_head(gsm.GDEB, k=4)
-        head.linear.weight.tensor.data[:] = 0.0
+        head.linear.weight.data[:] = 0.0
         image = T.Tensor(np.random.default_rng(0).random((2, 1, 16, 16), dtype=np.float32))
         gset = gsm.extract_prior(image, head, 4)
         np.testing.assert_array_equal(gset.mu.data, np.zeros((2, 4), dtype=np.float32))
@@ -178,8 +178,8 @@ class TestHeads:
 
     def test_sigma_bounds_enforced(self):
         reg, head = make_head(gsm.GDEB, k=3)
-        head.linear.weight.tensor.data[:] = 0.0
-        head.linear.bias.tensor.data[3:] = [100.0, -100.0, 0.0]
+        head.linear.weight.data[:] = 0.0
+        head.linear.bias.data[3:] = [100.0, -100.0, 0.0]
         image = T.Tensor(np.zeros((1, 1, 8, 8), dtype=np.float32))
         gset = gsm.extract_prior(image, head, 3)
         np.testing.assert_allclose(

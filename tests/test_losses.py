@@ -55,26 +55,27 @@ class TestBce:
 
 
 class TestDice:
+    # dice_loss takes a batch: every case is a batch of one
     def test_exact_match_zero(self):
-        y = np.array([[1.0, 0.0], [1.0, 1.0]])
+        y = np.array([[[1.0, 0.0], [1.0, 1.0]]])
         assert L.dice_loss(T.Tensor(y.copy()), y).item() <= 1e-6
 
     def test_disjoint_is_one(self):
-        y = np.array([1.0, 1.0, 0.0, 0.0])
-        p = np.array([0.0, 0.0, 1.0, 1.0])
+        y = np.array([[[1.0, 1.0, 0.0, 0.0]]])
+        p = np.array([[[0.0, 0.0, 1.0, 1.0]]])
         assert abs(L.dice_loss(T.Tensor(p), y).item() - 1.0) <= 1e-6
 
     def test_half_overlap(self):
-        y = np.array([1.0, 1.0, 0.0, 0.0])
-        p = np.array([1.0, 0.0, 1.0, 0.0])
+        y = np.array([[[1.0, 1.0, 0.0, 0.0]]])
+        p = np.array([[[1.0, 0.0, 1.0, 0.0]]])
         assert abs(L.dice_loss(T.Tensor(p), y).item() - 0.5) < 1e-6
 
     def test_empty_vs_empty_zero_loss(self):
-        z = np.zeros(8)
+        z = np.zeros((1, 2, 4))
         assert L.dice_loss(T.Tensor(z.copy()), z).item() == 0.0
 
-    @given(hnp.arrays(np.float64, 12, elements=st.floats(0.0, 1.0)),
-           hnp.arrays(np.int8, 12, elements=st.integers(0, 1)))
+    @given(hnp.arrays(np.float64, (1, 3, 4), elements=st.floats(0.0, 1.0)),
+           hnp.arrays(np.int8, (1, 3, 4), elements=st.integers(0, 1)))
     @settings(max_examples=50, deadline=None)
     def test_bounded(self, pred, truth):
         val = L.dice_loss(T.Tensor(pred), truth.astype(np.float64)).item()
@@ -82,9 +83,14 @@ class TestDice:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        y = (rng.random((6, 6)) < 0.5).astype(np.float64)
-        pred = T.Tensor(rng.uniform(0.2, 0.8, size=(6, 6)), requires_grad=True)
+        y = (rng.random((1, 6, 6)) < 0.5).astype(np.float64)
+        pred = T.Tensor(rng.uniform(0.2, 0.8, size=(1, 6, 6)), requires_grad=True)
         assert T.finite_diff_check(lambda p: L.dice_loss(p[0], y), [pred]) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4)])
+    def test_unbatched_rejected(self, shape):
+        with pytest.raises(T.ShapeError, match="batch"):
+            L.dice_loss(T.Tensor(np.ones(shape)), np.ones(shape))
 
 
 class TestTotalLoss:
@@ -117,8 +123,8 @@ class TestTotalLoss:
 
     def test_gradient_is_sum_of_part_gradients(self):
         rng = np.random.default_rng(3)
-        y = (rng.random(16) < 0.5).astype(np.float64)
-        base = rng.uniform(0.2, 0.8, size=16)
+        y = (rng.random((1, 4, 4)) < 0.5).astype(np.float64)
+        base = rng.uniform(0.2, 0.8, size=(1, 4, 4))
 
         pred = T.Tensor(base.copy(), requires_grad=True)
         bundle = L.total_loss(L.bce_loss(pred, y), L.dice_loss(pred, y))

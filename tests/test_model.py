@@ -61,8 +61,7 @@ def test_inference_ignores_mask_head():
     model = SegModel(ModelConfig(use_gsm=True, use_cibm=True, **CFG), seed=0)
     out = model.forward(images, training=False)
     assert out.posterior is None
-    pcb_ids = {id(p.tensor) for p in model.registry.parameters()
-               if p.name.startswith("pcb.")}
+    pcb_ids = {id(t) for name, t in model.registry.tensors.items() if name.startswith("pcb.")}
     assert pcb_ids
     assert not (T.ancestors(out.logits) & pcb_ids)
 
@@ -107,7 +106,7 @@ def test_mixer_only_variant_uses_fixed_source():
     model = SegModel(ModelConfig(use_gsm=False, use_cibm=True, **CFG), seed=0)
     out = model.forward(images, masks, training=True, rng=derive_rng(0, "z"))
     assert out.prior is None and out.latent is not None
-    param_ids = {id(p.tensor) for p in model.registry.parameters()}
+    param_ids = {id(t) for t in model.registry.tensors.values()}
     assert not (T.ancestors(out.latent.z) & param_ids)
 
 

@@ -193,13 +193,13 @@ class TestConv2d:
     @pytest.mark.parametrize("k", [1, 3])
     def test_input_kernel_and_bias_gradients_match_fd(self, k):
         rng = np.random.default_rng(9)
-        x = T.Parameter(T.Tensor(rng.normal(size=(3, 2, 4, 5))), "x")
-        kern = T.Parameter(T.Tensor(rng.normal(size=(3, 2, k, k))), "kernel")
-        bias = T.Parameter(T.Tensor(rng.normal(size=3)), "bias")
+        x = T.Tensor(rng.normal(size=(3, 2, 4, 5)))
+        kern = T.Tensor(rng.normal(size=(3, 2, k, k)))
+        bias = T.Tensor(rng.normal(size=3))
         weights = T.Tensor(rng.normal(size=(3, 3, 4, 5)))
 
         def f(params):
-            xp, kp, bp = (p.tensor for p in params)
+            xp, kp, bp = params
             return T.tsum(T.mul(T.gelu(T.conv2d(xp, kp, bp)), weights))
 
         assert T.finite_diff_check(f, [x, kern, bias]) < 1e-6
@@ -225,10 +225,10 @@ class TestBackward:
     def test_composite_conv_gelu_mean_matches_fd(self):
         rng = np.random.default_rng(7)
         x = T.Tensor(rng.normal(size=(1, 2, 4, 4)).astype(np.float64))
-        k = T.Parameter(T.Tensor(rng.normal(size=(2, 2, 3, 3)).astype(np.float64), requires_grad=True), "k")
+        k = T.Tensor(rng.normal(size=(2, 2, 3, 3)).astype(np.float64), requires_grad=True)
 
         def f(params):
-            return T.tmean(T.gelu(T.conv2d(x, params[0].tensor)))
+            return T.tmean(T.gelu(T.conv2d(x, params[0])))
 
         assert T.finite_diff_check(f, [k]) < 1e-6
 
@@ -260,33 +260,48 @@ class TestBackward:
 
 class TestFiniteDiffCheck:
     def test_square_at_three(self):
-        p = T.Parameter(T.Tensor(np.array(3.0), requires_grad=True), "x")
-        err = T.finite_diff_check(lambda ps: T.mul(ps[0].tensor, ps[0].tensor), [p])
+        p = T.Tensor(np.array(3.0), requires_grad=True)
+        err = T.finite_diff_check(lambda ps: T.mul(ps[0], ps[0]), [p])
         assert err < 1e-8
 
     def test_zero_function(self):
-        p = T.Parameter(T.Tensor(np.array([1.0, 2.0]), requires_grad=True), "x")
-        err = T.finite_diff_check(lambda ps: T.tsum(T.mul(ps[0].tensor, T.Tensor(np.zeros(2)))), [p])
+        p = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        err = T.finite_diff_check(lambda ps: T.tsum(T.mul(ps[0], T.Tensor(np.zeros(2)))), [p])
         assert err == 0.0
 
     def test_softmax_fd(self):
         rng = np.random.default_rng(8)
-        p = T.Parameter(T.Tensor(rng.normal(size=(3, 5)).astype(np.float64), requires_grad=True), "x")
+        p = T.Tensor(rng.normal(size=(3, 5)).astype(np.float64), requires_grad=True)
 
         def f(params):
-            s = T.softmax(params[0].tensor, axis=1)
+            s = T.softmax(params[0], axis=1)
             return T.tsum(T.mul(s, T.Tensor(np.arange(15, dtype=np.float64).reshape(3, 5))))
 
         assert T.finite_diff_check(f, [p]) < 1e-7
 
     def test_pool_and_upsample_fd(self):
         rng = np.random.default_rng(9)
-        p = T.Parameter(T.Tensor(rng.normal(size=(1, 2, 4, 4)).astype(np.float64), requires_grad=True), "x")
+        p = T.Tensor(rng.normal(size=(1, 2, 4, 4)).astype(np.float64), requires_grad=True)
         w = T.Tensor(np.arange(32, dtype=np.float64).reshape(1, 2, 4, 4))
 
         def f(params):
-            y = T.upsample_nearest2(T.avgpool2(params[0].tensor))
+            y = T.upsample_nearest2(T.avgpool2(params[0]))
             return T.tsum(T.mul(y, w))
+
+        assert T.finite_diff_check(f, [p]) < 1e-8
+
+
+    @pytest.mark.parametrize("op", [T.tsum, T.tmean])
+    @pytest.mark.parametrize("axis", [None, 1, (0, 2)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_reductions_fd(self, op, axis, keepdims):
+        rng = np.random.default_rng(10)
+        p = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        out_shape = np.sum(p.data, axis=axis, keepdims=keepdims).shape
+        w = T.Tensor(rng.normal(size=out_shape))
+
+        def f(params):
+            return T.tsum(T.mul(op(params[0], axis=axis, keepdims=keepdims), w))
 
         assert T.finite_diff_check(f, [p]) < 1e-8
 
@@ -303,3 +318,9 @@ class TestRegistry:
         p = reg.add("w", np.ones(3))
         reg.zero_grad()
         np.testing.assert_array_equal(p.grad, np.zeros(3))
+
+    def test_add_returns_the_registered_learnable_tensor(self):
+        reg = T.ParameterRegistry()
+        p = reg.add("w", np.ones(3))
+        assert isinstance(p, T.Tensor) and p.requires_grad
+        assert reg.tensors == {"w": p}

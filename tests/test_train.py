@@ -60,30 +60,30 @@ def test_sgd_matches_hand_computation():
     w = reg.add("w", T.Tensor(np.array([1.0, -2.0], dtype=np.float64), requires_grad=True))
     opt = SGD(reg, momentum=0.5, weight_decay=0.1)
 
-    w.tensor.grad = np.array([0.3, -0.4])
+    w.grad = np.array([0.3, -0.4])
     opt.step(lr=0.1)
     # g = grad + wd*w = [0.4, -0.6]; v = g; w -= lr*v
-    np.testing.assert_allclose(w.tensor.data, [1.0 - 0.04, -2.0 + 0.06])
+    np.testing.assert_allclose(w.data, [1.0 - 0.04, -2.0 + 0.06])
 
-    w.tensor.grad = np.array([0.0, 0.0])
+    w.grad = np.array([0.0, 0.0])
     opt.step(lr=0.1)
     # g = wd*w; v = 0.5*v_prev + g
     v = 0.5 * np.array([0.4, -0.6]) + 0.1 * np.array([0.96, -1.94])
-    np.testing.assert_allclose(w.tensor.data, [0.96, -1.94] - 0.1 * v)
+    np.testing.assert_allclose(w.data, [0.96, -1.94] - 0.1 * v)
 
 
 def test_sgd_skips_unused_parameters():
     reg = T.ParameterRegistry()
     w = reg.add("w", T.Tensor(np.ones(2), requires_grad=True))
     SGD(reg, momentum=0.9, weight_decay=0.0).step(lr=1.0)
-    np.testing.assert_array_equal(w.tensor.data, [1.0, 1.0])  # grad is None
+    np.testing.assert_array_equal(w.data, [1.0, 1.0])  # grad is None
 
 
 def test_sgd_rejects_a_non_finite_update():
     reg = T.ParameterRegistry()
-    reg.add("ok", T.Tensor(np.ones(2), requires_grad=True)).tensor.grad = np.ones(2)
+    reg.add("ok", T.Tensor(np.ones(2), requires_grad=True)).grad = np.ones(2)
     bad = reg.add("w", T.Tensor(np.ones(2), requires_grad=True))
-    bad.tensor.grad = np.array([0.0, np.inf])
+    bad.grad = np.array([0.0, np.inf])
     with pytest.raises(T.NonFiniteError, match="parameter w non-finite after SGD step"):
         SGD(reg, momentum=0.0, weight_decay=0.0).step(lr=1.0)
 

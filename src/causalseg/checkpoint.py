@@ -7,6 +7,7 @@ bit-identical; integers are little-endian throughout.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,25 +34,36 @@ class Checkpoint:
 
 
 def save_checkpoint(path, arrays: dict, k: int, config_hash: bytes):
+    """Write atomically: a temp file beside ``path`` is flushed, fsynced and
+    renamed over it, so a crash mid-write leaves the previous file intact."""
     if len(config_hash) != HASH_BYTES:
         raise CheckpointError(f"config hash must be {HASH_BYTES} bytes, got {len(config_hash)}")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, k))
-        fh.write(config_hash)
-        for name, arr in arrays.items():
-            # np.asarray keeps rank-0 scalars rank 0; tobytes() below emits
-            # C order regardless of memory layout
-            arr = np.asarray(arr)
-            dtype = arr.dtype.newbyteorder("<")
-            if dtype not in _DTYPE_CODES:
-                raise CheckpointError(f"{name}: unsupported dtype {arr.dtype}")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BB", _DTYPE_CODES[dtype], arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-            fh.write(arr.astype(dtype, copy=False).tobytes())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, k))
+            fh.write(config_hash)
+            for name, arr in arrays.items():
+                # np.asarray keeps rank-0 scalars rank 0; tobytes() below emits
+                # C order regardless of memory layout
+                arr = np.asarray(arr)
+                dtype = arr.dtype.newbyteorder("<")
+                if dtype not in _DTYPE_CODES:
+                    raise CheckpointError(f"{name}: unsupported dtype {arr.dtype}")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<BB", _DTYPE_CODES[dtype], arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
+                fh.write(arr.astype(dtype, copy=False).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _take(buf: memoryview, pos: int, count: int, what: str):

@@ -324,33 +324,31 @@ def global_avg_pool(a: Tensor) -> Tensor:
     return _unary(a, out_data, da)
 
 
+def _sum2x2(x: np.ndarray) -> np.ndarray:
+    """Sum of each 2x2 block of the spatial dims: (N, C, 2h, 2w) -> (N, C, h, w)."""
+    # four strided slices: a reduction over size-2 axes is several times
+    # slower, and its summation order would depend on the memory layout
+    return x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2] + x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2]
+
+
+def _repeat2x2(x: np.ndarray) -> np.ndarray:
+    """Nearest 2x upsampling of the spatial dims: (N, C, h, w) -> (N, C, 2h, 2w)."""
+    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+
+
 def avgpool2(a: Tensor) -> Tensor:
     if a.ndim != 4:
         raise ShapeError(f"avgpool2 expects an NCHW tensor, got shape {a.shape}")
     if a.shape[2] % 2 or a.shape[3] % 2:
         raise ShapeError(f"avgpool2: spatial dims of {a.shape} must be even")
-    x = a.data
-    # four strided slices: a reduction over the 2x2 axes is several times
-    # slower, and its summation order would depend on the memory layout
-    out_data = (x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
-                + x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2]) / 4.0
-
-    def da(g):
-        return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0).astype(a.data.dtype)
-
-    return _unary(a, out_data, da)
+    return _unary(a, _sum2x2(a.data) / 4.0,
+                  lambda g: (_repeat2x2(g) / 4.0).astype(a.data.dtype))
 
 
 def upsample_nearest2(a: Tensor) -> Tensor:
     if a.ndim != 4:
         raise ShapeError(f"upsample_nearest2 expects an NCHW tensor, got shape {a.shape}")
-    n, c, h, w = a.shape
-    out_data = np.repeat(np.repeat(a.data, 2, axis=2), 2, axis=3)
-
-    def da(g):
-        return g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
-
-    return _unary(a, out_data, da)
+    return _unary(a, _repeat2x2(a.data), _sum2x2)
 
 
 # -- convolution -----------------------------------------------------------

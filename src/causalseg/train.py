@@ -77,6 +77,10 @@ def load_dataset(cfg: TrainConfig) -> list:
         raise DatasetError(f"bad files in {cfg.data}: {listing}")
     if not records:
         raise DatasetError(f"no image/mask pairs found in {cfg.data}")
+    for rec in records:
+        if rec.image.shape != (cfg.size, cfg.size):
+            h, w = rec.image.shape
+            raise DatasetError(f"{cfg.data}: {rec.stem} is {h}x{w}, but the configured size is {cfg.size}")
     return records
 
 
@@ -174,6 +178,14 @@ def restore_training_state(ckpt: Checkpoint, model: SegModel, opt: SGD) -> int:
     return int(ckpt.arrays["meta.epoch"][0])
 
 
+def _truncate_rows(path, rows: int):
+    """Cut a CSV file to its header line plus its first ``rows`` rows."""
+    with open(path, "r+b") as fh:
+        for _ in range(rows + 1):
+            fh.readline()
+        fh.truncate()
+
+
 def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
         resume=None, log=None, stop_at_dice=None) -> FitResult:
     """Train per the config; optionally resume, log per-epoch rows, and stop
@@ -197,6 +209,9 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
     csv_file = None
     if csv_path is not None:
         mode = "a" if (resume is not None and Path(csv_path).exists()) else "w"
+        if mode == "a":
+            # rows written after the checkpoint was saved are replayed below
+            _truncate_rows(csv_path, start_epoch)
         csv_file = open(csv_path, mode, newline="")
         writer = csv.DictWriter(csv_file, fieldnames=METRICS_COLUMNS)
         if mode == "w":
@@ -293,6 +308,13 @@ def gradient_check(k=8, size=32, batch=2, seed=0, band_width=2,
 
 # -- ablation drivers ---------------------------------------------------------
 
+def _write_rows(csv_path, rows):
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=tuple(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def ablate_k(cfg: TrainConfig, k_list, csv_path=None, log=None) -> list:
     """One train/evaluate cycle per K with a shared seed; Table-shaped rows."""
     if not k_list:
@@ -300,18 +322,14 @@ def ablate_k(cfg: TrainConfig, k_list, csv_path=None, log=None) -> list:
     rows = []
     for k in k_list:
         sub = replace(cfg, k=int(k)).validate()
-        result = fit(sub, log=None)
-        _, mean = evaluate_model(result.model, result.test_records, sub)
+        mean = fit(sub).history[-1].test  # fit's own final evaluation
         row = {"k": int(k), **mean}
         rows.append(row)
         if log is not None:
             log(f"K={k}: dice {mean['dice']:.4f} iou {mean['iou']:.4f} "
                 f"fdr {mean['fdr']:.4f} auc {mean['auc']:.4f}")
     if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=("k", "dice", "iou", "fdr", "auc"))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_rows(csv_path, rows)
     return rows
 
 
@@ -331,9 +349,7 @@ def ablate_modules(cfg: TrainConfig, seeds=None, csv_path=None, log=None) -> lis
         per_seed = []
         for seed in seeds:
             sub = replace(cfg, seed=int(seed), use_gsm=use_gsm, use_cibm=use_cibm).validate()
-            result = fit(sub, log=None)
-            _, mean = evaluate_model(result.model, result.test_records, sub)
-            per_seed.append(mean)
+            per_seed.append(fit(sub).history[-1].test)
         row = {"variant": name, "use_gsm": int(use_gsm), "use_cibm": int(use_cibm)}
         row.update({m: float(np.mean([p[m] for p in per_seed]))
                     for m in ("dice", "iou", "fdr", "auc")})
@@ -341,9 +357,5 @@ def ablate_modules(cfg: TrainConfig, seeds=None, csv_path=None, log=None) -> lis
         if log is not None:
             log(f"{name}: dice {row['dice']:.4f} over {len(seeds)} seed(s)")
     if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=("variant", "use_gsm", "use_cibm", "dice", "iou", "fdr", "auc"))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_rows(csv_path, rows)
     return rows

@@ -1,6 +1,7 @@
 """Binary checkpoint format: round trips, header checks, truncation."""
 
 import gc
+import os
 import struct
 import warnings
 
@@ -120,6 +121,25 @@ def test_save_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(CheckpointError, match="unsupported dtype"):
         save_checkpoint(tmp_path / "x.ckpt", {"x": np.zeros(2, dtype=np.int32)},
                         k=4, config_hash=HASH)
+
+
+@pytest.mark.parametrize("failure", ["bad dtype after one record", "fsync"])
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failure):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _arrays(), k=16, config_hash=HASH)
+    before = path.read_bytes()
+    update = {"enc.w": np.ones((3, 2, 3, 3), dtype=np.float32)}
+    if failure == "fsync":
+        def fail(_fd):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "fsync", fail)
+    else:
+        update["bad"] = np.zeros(2, dtype=np.int32)
+    with pytest.raises((CheckpointError, OSError)):
+        save_checkpoint(path, update, k=16, config_hash=HASH)
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).arrays.keys() == _arrays().keys()
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_save_rejects_short_hash(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 import causalseg
 from causalseg.cli import _config_from_args, build_parser, main
 from causalseg.config import TrainConfig, load_train_config
-from causalseg.data import read_pgm
+from causalseg.data import read_pgm, write_pgm
 from causalseg.train import METRICS_COLUMNS
 
 TINY = ["--n-samples", "6", "--size", "16", "--batch", "2", "--epochs", "2",
@@ -87,6 +87,23 @@ def test_evaluate_rejects_wrong_architecture(run_dir, capsys):
                  *TINY, "--k", "8"])
     assert code == 2
     assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes, flag, first_bad", [
+    ((16, 24), "16", "b0 is 24x24"),
+    ((16, 16), "32", "a0 is 16x16"),
+], ids=["mixed-sizes", "not-the-configured-size"])
+def test_train_rejects_records_of_another_size(tmp_path, capsys, sizes, flag, first_bad):
+    data = tmp_path / "data"
+    data.mkdir()
+    for prefix, size in zip("ab", sizes):
+        for i in range(3):
+            write_pgm(data / f"{prefix}{i}.img.pgm", np.full((size, size), 0.5))
+            write_pgm(data / f"{prefix}{i}.mask.pgm", np.eye(size))
+    code = main(["train", "--seed", "0", "--data", str(data), "--out", str(tmp_path / "run"),
+                 *TINY, "--size", flag])
+    assert code == 2
+    assert f"{first_bad}, but the configured size is {flag}" in capsys.readouterr().err
 
 
 def test_ablate_k_csv(tmp_path, capsys):

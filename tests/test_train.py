@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from causalseg import tensor as T
+from causalseg import train
 from causalseg.config import ModelConfig, TrainConfig
 from causalseg.data import SampleRecord, generate_synthetic
 from causalseg.model import SegModel
@@ -194,6 +195,28 @@ def test_resume_replays_uninterrupted_run(tmp_path):
     assert [h.epoch for h in resumed.history] == [2, 3]
 
 
+def test_resume_after_a_crash_between_csv_row_and_checkpoint(tmp_path, monkeypatch):
+    cfg = TrainConfig(**TINY).validate()
+    straight_csv = tmp_path / "straight.csv"
+    fit(cfg, csv_path=straight_csv)
+
+    real_save = train.save_training_state
+
+    def save_then_crash_after_epoch_1(path, model, opt, epochs_done):
+        if epochs_done == 2:
+            raise _Abort  # epoch 1's CSV row is written, its checkpoint is not
+        real_save(path, model, opt, epochs_done)
+
+    resumed_csv, ckpt = tmp_path / "resumed.csv", tmp_path / "model.ckpt"
+    monkeypatch.setattr(train, "save_training_state", save_then_crash_after_epoch_1)
+    with pytest.raises(_Abort):
+        fit(cfg, csv_path=resumed_csv, checkpoint_path=ckpt)
+    monkeypatch.undo()
+    assert len(resumed_csv.read_bytes().splitlines()) == 3  # header + epochs 0 and 1
+    fit(cfg, csv_path=resumed_csv, checkpoint_path=ckpt, resume=ckpt)
+    assert resumed_csv.read_bytes() == straight_csv.read_bytes()
+
+
 def test_resume_rejects_finished_run(tmp_path):
     cfg = TrainConfig(**TINY).validate()
     ckpt = tmp_path / "model.ckpt"
@@ -347,6 +370,23 @@ def test_ablate_k_rows_and_determinism(tmp_path):
     for row in rows:
         assert all(np.isfinite(float(row[m])) for m in ("dice", "iou", "fdr", "auc"))
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_ablate_k_reuses_the_final_epoch_evaluation(monkeypatch):
+    cfg = TrainConfig(**{**TINY, "epochs": 2, "k": 8}).validate()
+    real_evaluate = train.evaluate_model
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(train, "evaluate_model", counted)
+    rows = ablate_k(cfg, [8])
+    assert len(calls) == cfg.epochs  # one per epoch, none after the fit
+    result = fit(cfg)
+    _, mean = real_evaluate(result.model, result.test_records, cfg)
+    assert rows == [{"k": 8, **mean}]
 
 
 def test_ablate_modules_grid(tmp_path):

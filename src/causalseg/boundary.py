@@ -1,7 +1,8 @@
 """Sobel boundary bands and the uncertainty-weighted boundary loss.
 
 The band is the Chebyshev dilation (radius w) of the ground-truth mask's
-Sobel edge pixels; ``boundary_band`` works on one 2-d mask.  The loss and
+Sobel edge pixels; ``boundary_band`` works on one 2-d mask and
+``band_batch`` on a (B,1,H,W) batch of them.  The loss and
 the uncertainty map work on (B,1,H,W) batches: on band pixels the loss is
 a cross-entropy weighted by (1 + V_i), where V_i is the squared deviation
 of each prediction from its image's band-mean prediction.  V is
@@ -102,9 +103,19 @@ def usd_loss(pred: T.Tensor, truth: np.ndarray, band: np.ndarray, v: T.Tensor) -
     return T.tmean(per_image)
 
 
+def band_batch(masks: np.ndarray, width: int = 2) -> np.ndarray:
+    """(B,1,H,W) 0/1 band membership of a (B,1,H,W) mask batch, one band per mask."""
+    return np.stack([boundary_band(m[0], width).band for m in masks])[:, None]
+
+
 def usd_batch(pred: T.Tensor, masks: np.ndarray, width: int = 2,
-              detach_uncertainty: bool = False) -> T.Tensor:
-    """USD loss of a (B,1,H,W) batch against its masks, one band per mask."""
-    band = np.stack([boundary_band(m[0], width).band for m in masks])[:, None]
+              detach_uncertainty: bool = False, band: np.ndarray | None = None) -> T.Tensor:
+    """USD loss of a (B,1,H,W) batch against its masks.
+
+    ``band`` is the masks' ``band_batch`` when the caller already has it;
+    without it the bands are computed here.
+    """
+    if band is None:
+        band = band_batch(masks, width)
     v = uncertainty_map(pred.detach() if detach_uncertainty else pred, band)
     return usd_loss(pred, masks, band, v)

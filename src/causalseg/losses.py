@@ -1,15 +1,15 @@
 """Segmentation losses, the combined objective, and evaluation metrics.
 
 The objective is the unweighted sum total = (usd + kl) + bce + dice.
-Metrics are pixel-level Dice/IoU/FDR at threshold 0.5 plus rank-based AUC
-with average-rank tie handling; entropy maps give per-pixel binary entropy
-of the predicted foreground probability.
+Metrics are batch-first: per image of an (N, ...) batch, pixel-level
+Dice/IoU/FDR at threshold 0.5 plus the Mann-Whitney AUC with ties counting
+one half; entropy maps give per-pixel binary entropy of the predicted
+foreground probability.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import tensor as T
 
@@ -35,10 +35,12 @@ class LossBundle:
 
 @dataclass
 class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
+    """Per-image pixel counts, each an (N,) integer array."""
+
+    tp: np.ndarray
+    fp: np.ndarray
+    tn: np.ndarray
+    fn: np.ndarray
 
 
 @dataclass
@@ -106,34 +108,63 @@ def total_loss(bce, dice, kl=None, usd=None) -> LossBundle:
                       usd=parts["usd"], gaus=gaus, total=total)
 
 
+def _rows(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (N, ...) batch -> (N, pixels) scores and boolean labels
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    if pred.shape != truth.shape:
+        raise T.ShapeError(f"metrics: pred {pred.shape} vs truth {truth.shape}")
+    if pred.ndim < 3:
+        raise T.ShapeError(f"metrics expect a batch of rank 3 or more, got shape {pred.shape}")
+    n = pred.shape[0]
+    return pred.reshape(n, -1), truth.reshape(n, -1) > 0.5
+
+
 def confusion_counts(pred: np.ndarray, truth: np.ndarray, threshold: float = 0.5) -> ConfusionCounts:
-    hard = np.asarray(pred) >= threshold
-    t = np.asarray(truth) > 0.5
-    return ConfusionCounts(
-        tp=int(np.sum(hard & t)), fp=int(np.sum(hard & ~t)),
-        tn=int(np.sum(~hard & ~t)), fn=int(np.sum(~hard & t)))
+    """Per-image (N,) counts of an (N, ...) batch; pred >= threshold is positive."""
+    scores, labels = _rows(pred, truth)
+    hard = scores >= threshold
+    tp = np.sum(hard & labels, axis=1)
+    fp = np.sum(hard, axis=1) - tp
+    fn = np.sum(labels, axis=1) - tp
+    return ConfusionCounts(tp=tp, fp=fp, tn=labels.shape[1] - tp - fp - fn, fn=fn)
 
 
-def auc_score(pred: np.ndarray, truth: np.ndarray) -> tuple[float, bool]:
-    """Mann-Whitney rank AUC over all pixels; degenerate truth -> (0.5, True)."""
-    scores = np.asarray(pred, dtype=np.float64).ravel()
-    labels = np.asarray(truth).ravel() > 0.5
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return 0.5, True
-    ranks = rankdata(scores)  # average ranks on ties
-    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg)), False
+def auc_score(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-image Mann-Whitney AUC of an (N, ...) batch, ties counting one half.
+
+    Returns (auc, degenerate) arrays of shape (N,); a row whose truth is all
+    positive or all negative gets 0.5 and degenerate True.  U sums, over the
+    positives, the negatives below plus half the negatives tied, found by two
+    binary searches in the row's sorted negatives.  2U is an integer, so
+    U / (n_pos * n_neg) is the same float that the average-rank formula gives.
+    """
+    scores, labels = _rows(pred, truth)
+    n_pos = labels.sum(axis=1)
+    n_neg = labels.shape[1] - n_pos
+    degenerate = (n_pos == 0) | (n_neg == 0)
+    two_u = np.zeros(len(scores), dtype=np.int64)
+    for i in np.flatnonzero(~degenerate):
+        neg = np.sort(scores[i][~labels[i]])
+        pos = np.sort(scores[i][labels[i]])  # sorted keys make the searches faster
+        two_u[i] = (np.searchsorted(neg, pos, "left").sum()
+                    + np.searchsorted(neg, pos, "right").sum())
+    pairs = np.where(degenerate, 1, n_pos * n_neg)
+    return np.where(degenerate, 0.5, two_u / 2.0 / pairs), degenerate
 
 
-def metrics(pred: np.ndarray, truth: np.ndarray, threshold: float = 0.5) -> Metrics:
+def _ratio(num: np.ndarray, den: np.ndarray, empty: float) -> np.ndarray:
+    return np.divide(num, den, out=np.full(len(den), empty), where=den != 0)
+
+
+def metrics(pred: np.ndarray, truth: np.ndarray, threshold: float = 0.5) -> list[Metrics]:
+    """Dice, IoU, FDR and AUC of each image of an (N, ...) batch."""
     c = confusion_counts(pred, truth, threshold)
-    dice = 2.0 * c.tp / (2.0 * c.tp + c.fp + c.fn) if (2 * c.tp + c.fp + c.fn) else 1.0
-    iou = c.tp / (c.tp + c.fp + c.fn) if (c.tp + c.fp + c.fn) else 1.0
-    fdr = c.fp / (c.fp + c.tp) if (c.fp + c.tp) else 0.0
+    dice = _ratio(2.0 * c.tp, 2.0 * c.tp + c.fp + c.fn, 1.0)
+    iou = _ratio(c.tp, c.tp + c.fp + c.fn, 1.0)
+    fdr = _ratio(c.fp, c.fp + c.tp, 0.0)
     auc, degenerate = auc_score(pred, truth)
-    return Metrics(dice=dice, iou=iou, fdr=fdr, auc=auc, auc_degenerate=degenerate)
+    return [Metrics(dice=float(d), iou=float(j), fdr=float(f), auc=float(a), auc_degenerate=bool(g))
+            for d, j, f, a, g in zip(dice, iou, fdr, auc, degenerate)]
 
 
 def entropy_map(pred: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .boundary import usd_batch
+from .boundary import band_batch, usd_batch
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .data import DatasetError, augment_pair, batches, generate_synthetic, ingest, split_dataset
@@ -77,15 +77,24 @@ def load_dataset(cfg: TrainConfig) -> list:
         raise DatasetError(f"bad files in {cfg.data}: {listing}")
     if not records:
         raise DatasetError(f"no image/mask pairs found in {cfg.data}")
-    for rec in records:
-        if rec.image.shape != (cfg.size, cfg.size):
-            h, w = rec.image.shape
-            raise DatasetError(f"{cfg.data}: {rec.stem} is {h}x{w}, but the configured size is {cfg.size}")
+    _check_sizes(records, cfg, cfg.data)
     return records
 
 
-def compute_losses(result: ForwardResult, masks: np.ndarray, cfg: TrainConfig) -> LossBundle:
-    """bce + dice always; the usd + kl pair only when the GSm branch is on."""
+def _check_sizes(records, cfg: TrainConfig, source: str):
+    # batches, cached bands and evaluation stack records: one size for all
+    for rec in records:
+        if rec.image.shape != (cfg.size, cfg.size):
+            h, w = rec.image.shape
+            raise DatasetError(f"{source}: {rec.stem} is {h}x{w}, but the configured size is {cfg.size}")
+
+
+def compute_losses(result: ForwardResult, masks: np.ndarray, cfg: TrainConfig,
+                   band: np.ndarray | None = None) -> LossBundle:
+    """bce + dice always; the usd + kl pair only when the GSm branch is on.
+
+    ``band`` is the masks' (B,1,H,W) boundary band if already computed.
+    """
     masks4 = masks if masks.ndim == 4 else masks[:, None]
     truth = masks4.astype(result.pred.data.dtype)
     bce = bce_loss(result.pred, truth)
@@ -94,7 +103,7 @@ def compute_losses(result: ForwardResult, masks: np.ndarray, cfg: TrainConfig) -
     if result.posterior is not None:
         kl = kl_loss(result.prior, result.posterior)
     if cfg.use_gsm:
-        usd = usd_batch(result.pred, masks4, cfg.band_width, cfg.detach_uncertainty)
+        usd = usd_batch(result.pred, masks4, cfg.band_width, cfg.detach_uncertainty, band)
     return total_loss(bce, dice, kl=kl, usd=usd)
 
 
@@ -145,10 +154,12 @@ def predict(model: SegModel, images, batch: int, rng=None) -> np.ndarray:
 
 def evaluate_model(model: SegModel, records, cfg: TrainConfig) -> tuple[list, dict]:
     """Inference-mode metrics per record plus their means (PCB untouched)."""
+    if not records:
+        return [], dict.fromkeys(("dice", "iou", "fdr", "auc"), 0.0)
     rng = derive_rng(cfg.seed, "eval") if cfg.stochastic_eval else None
     preds = predict(model, [rec.image for rec in records], cfg.batch, rng)
-    per_image = [metrics(pred, rec.mask.astype(np.float64)) for pred, rec in zip(preds, records)]
-    mean = {name: float(np.mean([getattr(m, name) for m in per_image]) if per_image else 0.0)
+    per_image = metrics(preds, np.stack([rec.mask for rec in records]))
+    mean = {name: float(np.mean([getattr(m, name) for m in per_image]))
             for name in ("dice", "iou", "fdr", "auc")}
     return per_image, mean
 
@@ -194,6 +205,8 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
     cfg.validate()
     if records is None:
         records = load_dataset(cfg)
+    else:
+        _check_sizes(records, cfg, "records")
     train_records, test_records = split_dataset(records, cfg.split_fraction, cfg.seed)
     model = SegModel(cfg.model_config(), cfg.seed)
     opt = SGD(model.registry, cfg.momentum, cfg.weight_decay)
@@ -203,6 +216,12 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
         if start_epoch >= cfg.epochs:
             raise TrainingError(
                 f"checkpoint already at epoch {start_epoch} of {cfg.epochs}")
+
+    # without augmentation every step sees the stored masks, so their bands
+    # are computed once here; augmented masks get theirs in each step
+    bands = None
+    if cfg.use_gsm and not cfg.augment:
+        bands = band_batch(np.stack([rec.mask for rec in train_records])[:, None], cfg.band_width)
 
     history = []
     writer = None
@@ -232,7 +251,8 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
                     images, masks = _stack_batch(train_records, idx, cfg,
                                                  erng if cfg.augment else None)
                     result = model.forward(images, masks, training=True, rng=erng)
-                    bundle = compute_losses(result, masks, cfg)
+                    bundle = compute_losses(result, masks, cfg,
+                                            None if bands is None else bands[idx])
                     model.registry.zero_grad()
                     T.backward(bundle.total)
                     opt.step(lr)

@@ -258,7 +258,7 @@ def test_11_persistence_and_metric_identity(tmp_path):
     for _ in range(100):
         pred = rng.random((12, 12))
         truth = (rng.random((12, 12)) < 0.5).astype(np.float64)
-        m = metrics(pred, truth)
+        [m] = metrics(pred[None], truth[None])
         worst = max(worst, abs(m.dice - 2.0 * m.iou / (1.0 + m.iou)))
     assert worst <= 1e-9
     print(f"ACCEPTANCE 11 persistence: PASS (reload bit-identical; "

@@ -1,4 +1,4 @@
-"""Loss values against closed forms, metric identities, AUC pairwise oracle."""
+"""Loss values against closed forms, metric identities, AUC pairwise and rank oracles."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
 
 from causalseg import losses as L
 from causalseg import tensor as T
@@ -137,50 +138,96 @@ class TestTotalLoss:
         np.testing.assert_allclose(pred.grad, pred_b.grad + pred_d.grad, atol=1e-12)
 
 
+def one(x):
+    """A flat pixel vector as a batch of one image."""
+    return np.asarray(x)[None, None]
+
+
+def reference_metrics(pred, truth, threshold=0.5):
+    """Single-image metrics as they were first written: Python-int counts and
+    the average-rank AUC of ``rankdata``."""
+    hard = pred >= threshold
+    t = truth > 0.5
+    tp, fp = int(np.sum(hard & t)), int(np.sum(hard & ~t))
+    fn = int(np.sum(~hard & t))
+    dice = 2.0 * tp / (2.0 * tp + fp + fn) if (2 * tp + fp + fn) else 1.0
+    iou = tp / (tp + fp + fn) if (tp + fp + fn) else 1.0
+    fdr = fp / (fp + tp) if (fp + tp) else 0.0
+    scores = np.asarray(pred, dtype=np.float64).ravel()
+    labels = t.ravel()
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return L.Metrics(dice=dice, iou=iou, fdr=fdr, auc=0.5, auc_degenerate=True)
+    u = rankdata(scores)[labels].sum() - n_pos * (n_pos + 1) / 2.0
+    return L.Metrics(dice=dice, iou=iou, fdr=fdr, auc=float(u / (n_pos * n_neg)))
+
+
+@st.composite
+def metric_batches(draw):
+    """(N,H,W) scores and 0/1 masks: float32 or float64, negative values,
+    optionally quantized to a few levels to force ties, and rows whose mask
+    is all positive or all negative."""
+    n = draw(st.integers(1, 5))
+    shape = (n, draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    pred = draw(hnp.arrays(dtype, shape, elements=st.floats(-1.0, 2.0, width=32)))
+    levels = draw(st.sampled_from([None, 1, 4]))
+    if levels is not None:
+        pred = (np.round(pred * levels) / levels).astype(dtype)
+    truth = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 1))).astype(np.float64)
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["mixed", "all-pos", "all-neg"]),
+                                           min_size=n, max_size=n))):
+        if kind != "mixed":
+            truth[i] = 1.0 if kind == "all-pos" else 0.0
+    return pred, truth
+
+
 class TestMetrics:
+    # metrics take a batch: the hand cases are batches of one
     def test_hand_counts(self):
-        pred = np.array([[0.9, 0.5], [0.4, 0.1]])
-        truth = np.array([[1.0, 0.0], [1.0, 0.0]])
+        pred = np.array([[[0.9, 0.5], [0.4, 0.1]]])
+        truth = np.array([[[1.0, 0.0], [1.0, 0.0]]])
         c = L.confusion_counts(pred, truth)
         # 0.5 thresholds as positive: TP {0.9}, FP {0.5}, FN {0.4}, TN {0.1}
-        assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
-        m = L.metrics(pred, truth)
+        assert (c.tp.tolist(), c.fp.tolist(), c.fn.tolist(), c.tn.tolist()) == ([1], [1], [1], [1])
+        [m] = L.metrics(pred, truth)
         assert abs(m.dice - 0.5) < 1e-12
         assert abs(m.iou - 1 / 3) < 1e-12
         assert abs(m.fdr - 0.5) < 1e-12
 
     def test_perfect_prediction(self):
-        truth = np.array([[1.0, 0.0], [0.0, 1.0]])
-        m = L.metrics(truth.copy(), truth)
+        truth = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        [m] = L.metrics(truth.copy(), truth)
         assert m.dice == 1.0 and m.iou == 1.0 and m.fdr == 0.0 and m.auc == 1.0
         assert not m.auc_degenerate
 
     def test_two_pixel_example(self):
-        m = L.metrics(np.array([0.9, 0.1]), np.array([1.0, 0.0]))
+        [m] = L.metrics(one([0.9, 0.1]), one([1.0, 0.0]))
         assert m.auc == 1.0 and m.fdr == 0.0
 
     def test_constant_prediction_ties(self):
-        truth = np.array([1.0, 0.0, 1.0, 0.0])
-        m = L.metrics(np.full(4, 0.5), truth)
+        truth = one([1.0, 0.0, 1.0, 0.0])
+        [m] = L.metrics(np.full(truth.shape, 0.5), truth)
         assert abs(m.auc - 0.5) < 1e-12
 
     def test_degenerate_truth_flagged(self):
-        m = L.metrics(np.array([0.9, 0.1]), np.array([0.0, 0.0]))
+        [m] = L.metrics(one([0.9, 0.1]), one([0.0, 0.0]))
         assert m.auc == 0.5 and m.auc_degenerate
 
     def test_empty_vs_empty(self):
-        m = L.metrics(np.zeros(9), np.zeros(9))
+        [m] = L.metrics(one(np.zeros(9)), one(np.zeros(9)))
         assert m.dice == 1.0 and m.iou == 1.0 and m.fdr == 0.0
 
     def test_fdr_zero_when_nothing_predicted(self):
-        m = L.metrics(np.zeros(4), np.array([1.0, 0.0, 1.0, 0.0]))
+        [m] = L.metrics(one(np.zeros(4)), one([1.0, 0.0, 1.0, 0.0]))
         assert m.fdr == 0.0
 
-    @given(hnp.arrays(np.float64, 24, elements=st.floats(0.0, 1.0)),
-           hnp.arrays(np.int8, 24, elements=st.integers(0, 1)))
+    @given(hnp.arrays(np.float64, (1, 4, 6), elements=st.floats(0.0, 1.0)),
+           hnp.arrays(np.int8, (1, 4, 6), elements=st.integers(0, 1)))
     @settings(max_examples=100, deadline=None)
     def test_dice_iou_identity(self, pred, truth):
-        m = L.metrics(pred, truth.astype(np.float64))
+        [m] = L.metrics(pred, truth.astype(np.float64))
         assert abs(m.dice - 2.0 * m.iou / (1.0 + m.iou)) < 1e-9
 
     def test_auc_matches_pairwise_oracle(self):
@@ -191,26 +238,53 @@ class TestMetrics:
             labels = rng.random(30) < 0.5
             if labels.all() or not labels.any():
                 continue
-            got, degenerate = L.auc_score(scores, labels.astype(np.float64))
-            assert not degenerate
-            assert abs(got - brute_auc(scores, labels)) < 1e-12
+            got, degenerate = L.auc_score(one(scores), one(labels.astype(np.float64)))
+            assert not degenerate[0]
+            assert abs(got[0] - brute_auc(scores, labels)) < 1e-12
 
     def test_auc_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(5)
         scores = rng.random(40)
-        labels = (rng.random(40) < 0.4).astype(np.float64)
-        base, _ = L.auc_score(scores, labels)
-        warped, _ = L.auc_score(np.exp(3.0 * scores) + 7.0, labels)
-        assert abs(base - warped) < 1e-12
+        labels = one((rng.random(40) < 0.4).astype(np.float64))
+        base, _ = L.auc_score(one(scores), labels)
+        warped, _ = L.auc_score(one(np.exp(3.0 * scores) + 7.0), labels)
+        assert abs(base[0] - warped[0]) < 1e-12
 
     def test_ranges(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            pred = rng.random(16)
-            truth = (rng.random(16) < 0.5).astype(np.float64)
-            m = L.metrics(pred, truth)
+            pred = rng.random((1, 4, 4))
+            truth = (rng.random((1, 4, 4)) < 0.5).astype(np.float64)
+            [m] = L.metrics(pred, truth)
             for value in (m.dice, m.iou, m.fdr, m.auc):
                 assert 0.0 <= value <= 1.0
+
+    @given(metric_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_per_image_reference(self, batch):
+        pred, truth = batch
+        got = L.metrics(pred, truth)
+        assert len(got) == len(pred)
+        for m, p, t in zip(got, pred, truth):
+            assert m == reference_metrics(p, t)  # every field, to the last bit
+            labels = t.ravel() > 0.5
+            if not m.auc_degenerate:
+                assert abs(m.auc - brute_auc(p.ravel().astype(np.float64), labels)) < 1e-12
+
+    def test_threshold_moves_the_hard_prediction(self):
+        pred = np.array([[[0.2, 0.6]], [[0.7, 0.1]]])
+        truth = np.array([[[0.0, 1.0]], [[1.0, 0.0]]])
+        assert [m.dice for m in L.metrics(pred, truth)] == [1.0, 1.0]
+        assert [m.dice for m in L.metrics(pred, truth, threshold=0.65)] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4)])
+    def test_unbatched_rejected(self, shape):
+        with pytest.raises(T.ShapeError, match="batch"):
+            L.metrics(np.ones(shape), np.ones(shape))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(T.ShapeError, match="truth"):
+            L.metrics(np.ones((2, 3, 3)), np.ones((1, 3, 3)))
 
 
 class TestEntropyMap:

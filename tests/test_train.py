@@ -5,10 +5,11 @@ import csv
 import numpy as np
 import pytest
 
+from causalseg import boundary
 from causalseg import tensor as T
 from causalseg import train
 from causalseg.config import ModelConfig, TrainConfig
-from causalseg.data import SampleRecord, generate_synthetic
+from causalseg.data import DatasetError, SampleRecord, generate_synthetic
 from causalseg.model import SegModel
 from causalseg.train import (
     METRICS_COLUMNS,
@@ -252,6 +253,15 @@ def test_fit_aborts_on_non_finite(tmp_path):
         fit(cfg, records=records)
 
 
+@pytest.mark.parametrize("sizes", [(16, 24), (24, 24)], ids=["mixed-sizes", "not-the-configured-size"])
+def test_fit_rejects_records_of_another_size(sizes):
+    records = generate_synthetic(3, sizes[0], seed=0) + generate_synthetic(3, sizes[1], seed=1)
+    cfg = TrainConfig(**TINY).validate()  # size 16
+    bad = next(rec for rec in records if rec.image.shape != (16, 16))
+    with pytest.raises(DatasetError, match=f"records: {bad.stem} is 24x24, but the configured size is 16"):
+        fit(cfg, records=records)
+
+
 DIVERGENT = dict(n_samples=16, size=16, batch=4, epochs=2, k=4, augment=False,
                  lr=1000.0, weight_decay=0.0, seed=0)
 
@@ -349,6 +359,38 @@ def test_load_dataset_rejects_bad_directory(tmp_path):
     cfg = TrainConfig(**{**TINY, "data": str(tmp_path)}).validate()
     with pytest.raises(DatasetError, match="no image/mask pairs"):
         load_dataset(cfg)
+
+
+# -- boundary band cache -----------------------------------------------------
+
+@pytest.mark.parametrize("augment", [False, True])
+def test_boundary_bands_per_record_or_per_step(monkeypatch, augment):
+    cfg = TrainConfig(**{**TINY, "augment": augment}).validate()
+    real_band = boundary.boundary_band
+    calls = []
+
+    def counted(mask, width=2):
+        calls.append(mask.shape)
+        return real_band(mask, width)
+
+    monkeypatch.setattr(boundary, "boundary_band", counted)
+    result = fit(cfg)
+    # stored masks: one band per train record; augmented masks: one per mask per step
+    per_fit = 1 if not augment else cfg.epochs
+    assert len(calls) == per_fit * len(result.train_records)
+
+
+def test_cached_bands_give_the_same_checkpoint(tmp_path, monkeypatch):
+    cfg = TrainConfig(**TINY).validate()  # augment off, GSm on, 3 epochs
+    fit(cfg, checkpoint_path=tmp_path / "cached.ckpt")
+    real_losses = train.compute_losses
+
+    def per_step(result, masks, cfg_, band=None):
+        return real_losses(result, masks, cfg_)  # drop the cache: bands from the masks
+
+    monkeypatch.setattr(train, "compute_losses", per_step)
+    fit(cfg, checkpoint_path=tmp_path / "per_step.ckpt")
+    assert (tmp_path / "cached.ckpt").read_bytes() == (tmp_path / "per_step.ckpt").read_bytes()
 
 
 # -- gradient audit ----------------------------------------------------------

@@ -6,7 +6,7 @@ Sobel edge pixels; ``boundary_band`` works on one 2-d mask and
 the uncertainty map work on (B,1,H,W) batches: on band pixels the loss is
 a cross-entropy weighted by (1 + V_i), where V_i is the squared deviation
 of each prediction from its image's band-mean prediction.  V is
-differentiable through the predictions unless explicitly detached.
+differentiable through the predictions.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ import numpy as np
 from scipy.ndimage import binary_dilation
 
 from . import tensor as T
-from .losses import PROB_EPS, cross_entropy  # noqa: F401  (PROB_EPS re-exported)
+from .losses import cross_entropy
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 SOBEL_Y = SOBEL_X.T
@@ -109,7 +109,7 @@ def band_batch(masks: np.ndarray, width: int = 2) -> np.ndarray:
 
 
 def usd_batch(pred: T.Tensor, masks: np.ndarray, width: int = 2,
-              detach_uncertainty: bool = False, band: np.ndarray | None = None) -> T.Tensor:
+              band: np.ndarray | None = None) -> T.Tensor:
     """USD loss of a (B,1,H,W) batch against its masks.
 
     ``band`` is the masks' ``band_batch`` when the caller already has it;
@@ -117,5 +117,4 @@ def usd_batch(pred: T.Tensor, masks: np.ndarray, width: int = 2,
     """
     if band is None:
         band = band_batch(masks, width)
-    v = uncertainty_map(pred.detach() if detach_uncertainty else pred, band)
-    return usd_loss(pred, masks, band, v)
+    return usd_loss(pred, masks, band, uncertainty_map(pred, band))

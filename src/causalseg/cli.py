@@ -2,7 +2,8 @@
 
 Subcommands cover dataset generation/ingestion, training with resume,
 evaluation, the K and module ablations, entropy-map emission, gradient
-checking, the discrete causal oracle, and band/omega inspection dumps.
+checking, the discrete causal oracle and its random-model gap sweep, and
+band/omega inspection dumps.
 """
 
 import argparse
@@ -17,13 +18,13 @@ from . import scm as scm_mod
 from .boundary import boundary_band, sobel_magnitude, uncertainty_map
 from .checkpoint import CheckpointError, load_checkpoint
 from .scm import SCMError
-from .config import ConfigError, ModelConfig, TrainConfig, load_scm_config, load_train_config
-from .data import DatasetError, PgmError, export_dataset, generate_synthetic, ingest, read_pgm, write_pgm
+from .config import ConfigError, TrainConfig, load_scm_config, load_train_config
+from .data import DatasetError, PgmError, export_dataset, generate_synthetic, ingest, write_pgm
 from .losses import entropy_map
 from .model import SegModel
 from .tensor import Tensor
 from .train import (SGD, TrainingError, ablate_k, ablate_modules, evaluate_model, fit,
-                    gradient_check, load_dataset, predict, restore_training_state)
+                    gradient_check, load_dataset, predict, restore_training_state, write_rows)
 
 
 def _add_config_flags(parser, require_seed=False):
@@ -43,6 +44,15 @@ def _add_config_flags(parser, require_seed=False):
             parser.add_argument(f"--{flag}", type=field.type, dest=field.name)
 
 
+def _int_list(text: str) -> list:
+    """argparse type: a nonempty comma-separated list of integers."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _config_from_args(args) -> TrainConfig:
     overrides = {f.name: getattr(args, f.name, None) for f in fields(TrainConfig)}
     return load_train_config(args.config, overrides)
@@ -57,7 +67,7 @@ def _load_model(args, cfg: TrainConfig) -> tuple[SegModel, object]:
 
 
 def cmd_generate(args):
-    records = generate_synthetic(args.n_samples or 256, args.size or 64, args.seed)
+    records = generate_synthetic(args.n_samples, args.size, args.seed)
     export_dataset(records, args.out)
     tags = np.bincount([r.confounder_tag for r in records], minlength=3)
     print(f"wrote {len(records)} image/mask pairs to {args.out} "
@@ -97,27 +107,21 @@ def cmd_evaluate(args):
              "fdr": m.fdr, "auc": m.auc}
             for i, (rec, m) in enumerate(zip(records, per_image))]
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=("stem", "dice", "iou", "fdr", "auc"))
-            writer.writeheader()
-            writer.writerows(rows)
-            writer.writerow({"stem": "mean", **mean})
+        write_rows(args.out, [*rows, {"stem": "mean", **mean}])
     print("mean: " + ", ".join(f"{k} {v:.4f}" for k, v in mean.items()))
     return 0
 
 
 def cmd_ablate_k(args):
     cfg = _config_from_args(args)
-    k_list = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
-    rows = ablate_k(cfg, k_list, csv_path=args.out, log=print)
+    rows = ablate_k(cfg, args.k_list, csv_path=args.out, log=print)
     print(f"wrote {len(rows)} rows to {args.out}" if args.out else f"{len(rows)} rows")
     return 0
 
 
 def cmd_ablate_modules(args):
     cfg = _config_from_args(args)
-    seeds = [int(tok) for tok in args.seeds.split(",")] if args.seeds else None
-    rows = ablate_modules(cfg, seeds=seeds, csv_path=args.out, log=print)
+    rows = ablate_modules(cfg, seeds=args.seeds, csv_path=args.out, log=print)
     print(f"wrote {len(rows)} rows to {args.out}" if args.out else f"{len(rows)} rows")
     return 0
 
@@ -136,7 +140,7 @@ def cmd_entropy(args):
 
 
 def cmd_gradcheck(args):
-    out = gradient_check(k=args.k or 8, size=args.size or 32, seed=args.seed,
+    out = gradient_check(k=args.k, size=args.size, seed=args.seed,
                          max_probes=args.max_probes)
     worst = max(out.values())
     for name, err in out.items():
@@ -147,6 +151,14 @@ def cmd_gradcheck(args):
 
 
 def cmd_oracle(args):
+    if args.sweep is not None:
+        bias, gap = scm_mod.gap_sweep(args.sweep)
+        print(f"{args.sweep} random SCMs, cardinalities 2..{scm_mod.SWEEP_MAX_CARD}")
+        for name, values in (("observational vs do(x) TV", bias), ("rounded-stratum gap TV", gap)):
+            q = np.percentile(values, [50, 90, 99])
+            print(f"{name:>28}: median {q[0]:.4f}  p90 {q[1]:.4f}  p99 {q[2]:.4f}  "
+                  f"max {max(values):.4f}  (n={len(values)})")
+        return 0
     model = load_scm_config(args.config) if args.config else scm_mod.worked_example()
     print(f"discrete SCM: |C|={model.n_c} |X|={model.n_x} |Y|={model.n_y}")
     header = f"{'x':>3} {'P(Y|x)':>24} {'P(Y|do(x))':>24} {'surgery':>24} {'approx gap':>10}"
@@ -214,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a synthetic confounded dataset as PGM pairs")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-samples", type=int, dest="n_samples")
-    p.add_argument("--size", type=int)
+    p.add_argument("--n-samples", type=int, default=256)
+    p.add_argument("--size", type=int, default=64)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -237,13 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate-k", help="train/evaluate across K values")
     _add_config_flags(p)
-    p.add_argument("--k-list", required=True, help="comma-separated K values")
+    p.add_argument("--k-list", type=_int_list, required=True, help="comma-separated K values")
     p.add_argument("--out", help="CSV path")
     p.set_defaults(func=cmd_ablate_k)
 
     p = sub.add_parser("ablate-modules", help="backbone/GSm/CIBM ablation grid")
     _add_config_flags(p)
-    p.add_argument("--seeds", help="comma-separated seeds (default: --seed)")
+    p.add_argument("--seeds", type=_int_list, help="comma-separated seeds (default: --seed)")
     p.add_argument("--out", help="CSV path")
     p.set_defaults(func=cmd_ablate_modules)
 
@@ -255,14 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of all losses")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int)
-    p.add_argument("--size", type=int)
+    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--size", type=int, default=32)
     p.add_argument("--max-probes", type=int, default=40)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("oracle", help="discrete backdoor-adjustment oracle table")
-    p.add_argument("--config", help="SCM definition file (default: built-in example)")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--config", help="SCM definition file (default: built-in example)")
+    group.add_argument("--sweep", type=int, metavar="N",
+                       help="instead, percentiles of both TV gaps over N random SCMs")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("inspect-band", help="dump boundary band/Sobel/uncertainty maps")

@@ -60,8 +60,6 @@ class TrainConfig:
     augment: bool = True
     use_gsm: bool = True
     use_cibm: bool = True
-    detach_uncertainty: bool = False
-    stochastic_eval: bool = False
 
     def validate(self):
         if self.lr <= 0:

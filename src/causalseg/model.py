@@ -62,7 +62,7 @@ class SegModel:
         """images: (B,1,H,W) or (B,H,W); masks required when training with GSm.
 
         At inference the latent draw defaults to the distribution mean
-        (``rng=None``); pass rng or frozen_eps for stochastic evaluation.
+        (``rng=None``); pass rng or frozen_eps for a stochastic draw.
         """
         x = images if isinstance(images, T.Tensor) else self._as_batch(images)
         batch = x.shape[0]

@@ -1,15 +1,19 @@
 """Exact discrete three-variable causal model (C -> X, C -> Y, X -> Y).
 
 Pure 64-bit enumeration, no sampling: observational conditioning,
-backdoor adjustment, graph-surgery intervention, and the total-variation
-gap of the expectation-into-argument approximation.
+backdoor adjustment, graph-surgery intervention, the total-variation
+gap of the expectation-into-argument approximation, and a sweep of both
+gaps over random models.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .rngs import derive_rng
+
 PROB_TOL = 1e-12
+SWEEP_MAX_CARD = 5  # largest |C|, |X|, |Y| drawn by gap_sweep
 
 
 class SCMError(ValueError):
@@ -94,6 +98,11 @@ def intervene_enumerate(scm: DiscreteSCM, x: int) -> np.ndarray:
     return _check_dist(out)
 
 
+def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Total-variation distance between two distributions on the same support."""
+    return 0.5 * float(np.abs(p - q).sum())
+
+
 def approximation_gap(scm: DiscreteSCM, x: int) -> float:
     """TV distance between E_C[P(Y|x,C)] and P(Y|x, round(E[C])).
 
@@ -103,8 +112,7 @@ def approximation_gap(scm: DiscreteSCM, x: int) -> float:
     exact = backdoor_adjust(scm, x)
     mean_c = float(np.arange(scm.n_c) @ scm.p_c)
     c_star = min(int(np.floor(mean_c + 0.5)), scm.n_c - 1)
-    approx = scm.p_y_given_xc[x, c_star]
-    return 0.5 * float(np.abs(exact - approx).sum())
+    return tv_distance(exact, scm.p_y_given_xc[x, c_star])
 
 
 def random_scm(rng: np.random.Generator, n_c: int, n_x: int, n_y: int) -> DiscreteSCM:
@@ -115,6 +123,26 @@ def random_scm(rng: np.random.Generator, n_c: int, n_x: int, n_y: int) -> Discre
         return r / r.sum(axis=-1, keepdims=True)
 
     return DiscreteSCM(simplex(n_c), simplex(n_c, n_x), simplex(n_x, n_c, n_y))
+
+
+def gap_sweep(n_models: int) -> tuple[list, list]:
+    """TV of P(Y|x) from P(Y|do(x)), and ``approximation_gap``, for every
+    (model, x) of ``n_models`` seeded random SCMs; x with P(X=x) = 0 is skipped."""
+    if n_models < 1:
+        raise SCMError(f"the sweep needs at least one model, got {n_models}")
+    rng = derive_rng(0, "gap-sweep")
+    confound_bias, approx_gap = [], []
+    for _ in range(n_models):
+        n_c, n_x, n_y = (int(rng.integers(2, SWEEP_MAX_CARD + 1)) for _ in range(3))
+        model = random_scm(rng, n_c, n_x, n_y)
+        for x in range(model.n_x):
+            try:
+                observed = observational(model, x)
+            except SCMError:
+                continue
+            confound_bias.append(tv_distance(observed, backdoor_adjust(model, x)))
+            approx_gap.append(approximation_gap(model, x))
+    return confound_bias, approx_gap
 
 
 def worked_example() -> DiscreteSCM:

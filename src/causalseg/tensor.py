@@ -65,10 +65,6 @@ class Tensor:
             raise ShapeError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Constant view of this tensor's values, cut out of the graph."""
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
 

@@ -103,7 +103,7 @@ def compute_losses(result: ForwardResult, masks: np.ndarray, cfg: TrainConfig,
     if result.posterior is not None:
         kl = kl_loss(result.prior, result.posterior)
     if cfg.use_gsm:
-        usd = usd_batch(result.pred, masks4, cfg.band_width, cfg.detach_uncertainty, band)
+        usd = usd_batch(result.pred, masks4, cfg.band_width, band)
     return total_loss(bce, dice, kl=kl, usd=usd)
 
 
@@ -140,14 +140,11 @@ def _stack_batch(records, idx, cfg, rng):
     return np.stack(images).astype(np.float32), np.stack(masks).astype(np.float32)
 
 
-def predict(model: SegModel, images, batch: int, rng=None) -> np.ndarray:
-    """Inference probabilities (N,H,W) for (N,H,W) images, ``batch`` per forward.
-
-    With ``rng`` the latents are drawn from it in record order, so the draws
-    do not depend on ``batch``; without it they are the distribution means.
-    """
+def predict(model: SegModel, images, batch: int) -> np.ndarray:
+    """Inference probabilities (N,H,W) for (N,H,W) images, ``batch`` per forward;
+    the latents are the distribution means, so ``batch`` does not change them."""
     images = np.asarray(images, dtype=model.dtype)
-    preds = [model.forward(images[i:i + batch], training=False, rng=rng).pred.data[:, 0]
+    preds = [model.forward(images[i:i + batch], training=False).pred.data[:, 0]
              for i in range(0, len(images), batch)]
     return np.concatenate(preds) if preds else np.zeros(images.shape, dtype=model.dtype)
 
@@ -156,8 +153,7 @@ def evaluate_model(model: SegModel, records, cfg: TrainConfig) -> tuple[list, di
     """Inference-mode metrics per record plus their means (PCB untouched)."""
     if not records:
         return [], dict.fromkeys(("dice", "iou", "fdr", "auc"), 0.0)
-    rng = derive_rng(cfg.seed, "eval") if cfg.stochastic_eval else None
-    preds = predict(model, [rec.image for rec in records], cfg.batch, rng)
+    preds = predict(model, [rec.image for rec in records], cfg.batch)
     per_image = metrics(preds, np.stack([rec.mask for rec in records]))
     mean = {name: float(np.mean([getattr(m, name) for m in per_image]))
             for name in ("dice", "iou", "fdr", "auc")}
@@ -328,7 +324,9 @@ def gradient_check(k=8, size=32, batch=2, seed=0, band_width=2,
 
 # -- ablation drivers ---------------------------------------------------------
 
-def _write_rows(csv_path, rows):
+def write_rows(csv_path, rows):
+    """CSV of dict rows, header from the first row's keys; makes the directory."""
+    Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=tuple(rows[0]))
         writer.writeheader()
@@ -349,7 +347,7 @@ def ablate_k(cfg: TrainConfig, k_list, csv_path=None, log=None) -> list:
             log(f"K={k}: dice {mean['dice']:.4f} iou {mean['iou']:.4f} "
                 f"fdr {mean['fdr']:.4f} auc {mean['auc']:.4f}")
     if csv_path is not None:
-        _write_rows(csv_path, rows)
+        write_rows(csv_path, rows)
     return rows
 
 
@@ -377,5 +375,5 @@ def ablate_modules(cfg: TrainConfig, seeds=None, csv_path=None, log=None) -> lis
         if log is not None:
             log(f"{name}: dice {row['dice']:.4f} over {len(seeds)} seed(s)")
     if csv_path is not None:
-        _write_rows(csv_path, rows)
+        write_rows(csv_path, rows)
     return rows

@@ -199,30 +199,6 @@ class TestUsdLoss:
 
         assert T.finite_diff_check(f, [pred]) < 1e-4
 
-    def test_detached_uncertainty_changes_gradient(self):
-        mask = batch1(square_mask(12, 4, 8))
-        rng = np.random.default_rng(31)
-        base = rng.uniform(0.2, 0.8, size=(1, 1, 12, 12))
-
-        pred_a = T.Tensor(base.copy(), requires_grad=True)
-        T.backward(B.usd_batch(pred_a, mask, width=1, detach_uncertainty=False))
-        pred_d = T.Tensor(base.copy(), requires_grad=True)
-        T.backward(B.usd_batch(pred_d, mask, width=1, detach_uncertainty=True))
-        assert not np.allclose(pred_a.grad, pred_d.grad)
-
-        # detached variant pins (1+V): its gradient is the weighted-BCE one
-        band = batch1(B.boundary_band(mask[0, 0], width=1).band)
-        weights = 1.0 + B.uncertainty_map(T.Tensor(base), band).data
-        pred_r = T.Tensor(base.copy(), requires_grad=True)
-        y, wt = T.Tensor(mask * band), T.Tensor(weights * band)
-        p = T.clamp(pred_r, B.PROB_EPS, 1 - B.PROB_EPS)
-        ce = T.add(T.mul(y, T.log(p)),
-                   T.mul(T.sub(T.Tensor(np.asarray(1.0)), y),
-                         T.log(T.sub(T.Tensor(np.asarray(1.0)), p))))
-        ref = T.div(T.neg(T.tsum(T.mul(wt, ce))), T.Tensor(np.asarray(float(band.sum()))))
-        T.backward(ref)
-        np.testing.assert_allclose(pred_d.grad, pred_r.grad, atol=1e-12)
-
     def test_batch_is_mean_of_per_image_losses(self):
         rng = np.random.default_rng(40)
         masks = np.stack([batch1(square_mask())[0], np.zeros((1, 16, 16), dtype=np.uint8)])

@@ -2,6 +2,8 @@
 
 import csv
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -44,6 +46,14 @@ def test_generate_and_ingest_check(tmp_path, capsys):
     assert "missing mask pair" in capsys.readouterr().out
 
 
+def test_generate_zero_is_not_unset(tmp_path, capsys):
+    argv = ["generate", "--seed", "0", "--out", str(tmp_path / "data")]
+    assert main([*argv, "--n-samples", "0", "--size", "16"]) == 0
+    assert "wrote 0 image/mask pairs" in capsys.readouterr().out
+    assert main([*argv, "--n-samples", "2", "--size", "0"]) == 2
+    assert "size must be a positive multiple of 8, got 0" in capsys.readouterr().err
+
+
 def test_generate_requires_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--out", "/tmp/x"])
@@ -71,7 +81,7 @@ def test_train_resume_extends_csv(tmp_path, capsys):
 
 
 def test_evaluate_emits_csv(run_dir, tmp_path, capsys):
-    out = tmp_path / "eval.csv"
+    out = tmp_path / "sub" / "eval.csv"  # the directory is made for it
     code = main(["evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
                  "--out", str(out), *TINY])
     assert code == 0
@@ -106,8 +116,22 @@ def test_train_rejects_records_of_another_size(tmp_path, capsys, sizes, flag, fi
     assert f"{first_bad}, but the configured size is {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["ablate-k", "--k-list", "4,x"], "--k-list"),
+    (["ablate-k", "--k-list", ""], "--k-list"),
+    (["ablate-modules", "--seeds", "0,1,"], "--seeds"),
+], ids=["not-an-int", "empty", "trailing-comma"])
+def test_malformed_int_list_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "0", *TINY])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: expected comma-separated integers" in err
+    assert "Traceback" not in err
+
+
 def test_ablate_k_csv(tmp_path, capsys):
-    out = tmp_path / "k.csv"
+    out = tmp_path / "sub" / "k.csv"  # the directory is made for it
     code = main(["ablate-k", "--seed", "0", "--k-list", "4,8",
                  "--out", str(out), *TINY])
     assert code == 0
@@ -143,6 +167,33 @@ def test_gradcheck_pass_and_fail_exit_codes(capsys):
     assert "PASS" in capsys.readouterr().out
     assert main([*argv, "--tolerance", "1e-30"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--k", "k must be in [4, 512], got 0"),
+    ("--size", "size must be a positive multiple of 8, got 0"),
+])
+def test_gradcheck_zero_is_not_unset(capsys, flag, message):
+    assert main(["gradcheck", flag, "0", "--max-probes", "2"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_oracle_sweep(capsys):
+    assert main(["oracle", "--sweep", "50"]) == 0
+    out = capsys.readouterr().out
+    assert main(["oracle", "--sweep", "50"]) == 0
+    assert capsys.readouterr().out == out
+    rows = out.splitlines()[1:]
+    assert [row.split(":")[0].strip() for row in rows] == [
+        "observational vs do(x) TV", "rounded-stratum gap TV"]
+    for row in rows:
+        values = re.search(r"median (\S+)  p90 (\S+)  p99 (\S+)  max (\S+)  \(n=(\d+)\)", row)
+        assert values, row
+        assert all(0.0 <= float(v) <= 1.0 for v in values.groups()[:4])
+        assert int(values.group(5)) >= 100  # every random model has |X| >= 2
+
+    assert main(["oracle", "--sweep", "0"]) == 2
+    assert "at least one model" in capsys.readouterr().err
 
 
 def test_oracle_table(capsys, tmp_path):
@@ -287,3 +338,18 @@ def test_train_flag_set_is_exactly_the_schema():
         flag = "--" + f.name.replace("_", "-")
         expected |= {flag, "--no-" + flag[2:]} if f.type is bool else {flag}
     assert options == expected
+
+
+# -- README recipes parse against the CLI ------------------------------------
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("causalseg ")]
+    assert {argv[0] for argv in commands} >= {
+        "ablate-modules", "ablate-k", "generate", "train", "evaluate", "entropy",
+        "inspect-band", "oracle", "gradcheck"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

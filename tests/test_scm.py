@@ -133,6 +133,22 @@ class TestApproximationGap:
         assert abs(S.approximation_gap(model, 0) - 0.5) < TOL
 
 
+class TestGapSweep:
+    def test_gaps_are_total_variations(self):
+        bias, gap = S.gap_sweep(40)
+        assert len(bias) == len(gap) >= 80  # every random model has |X| >= 2
+        assert all(0.0 <= v <= 1.0 for v in bias + gap)
+
+    def test_skips_x_that_never_occurs(self, monkeypatch):
+        # X=1 has probability 0 under every confounder level
+        model = S.DiscreteSCM([0.5, 0.5], [[1.0, 0.0], [1.0, 0.0]],
+                              [[[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.5], [0.5, 0.5]]])
+        monkeypatch.setattr(S, "random_scm", lambda *args: model)
+        bias, gap = S.gap_sweep(3)
+        assert bias == [S.tv_distance(S.observational(model, 0), S.backdoor_adjust(model, 0))] * 3
+        assert gap == [S.approximation_gap(model, 0)] * 3
+
+
 class TestValidation:
     def test_row_sum_violation(self):
         with pytest.raises(S.SCMError, match="sum"):

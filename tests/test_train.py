@@ -328,15 +328,6 @@ def test_predict_does_not_depend_on_batch_size():
     np.testing.assert_allclose(one[0], single, rtol=1e-5, atol=1e-5)
 
 
-@pytest.mark.parametrize("use_gsm", [True, False])
-def test_stochastic_predict_draws_do_not_depend_on_batch_size(use_gsm):
-    cfg, model, images = _predict_case(use_gsm=use_gsm, use_cibm=True)
-    one = predict(model, images, 1, rng=derive_rng(cfg.seed, "eval"))
-    batched = predict(model, images, cfg.batch, rng=derive_rng(cfg.seed, "eval"))
-    np.testing.assert_allclose(batched, one, rtol=1e-5, atol=1e-5)
-    assert not np.allclose(one, predict(model, images, cfg.batch), rtol=1e-5, atol=1e-5)
-
-
 def test_evaluate_empty_records():
     cfg = TrainConfig(**TINY).validate()
     model = SegModel(cfg.model_config(), cfg.seed)

@@ -19,7 +19,8 @@ from .boundary import boundary_band, sobel_magnitude, uncertainty_map
 from .checkpoint import CheckpointError, load_checkpoint
 from .scm import SCMError
 from .config import ConfigError, TrainConfig, load_scm_config, load_train_config
-from .data import DatasetError, PgmError, export_dataset, generate_synthetic, ingest, write_pgm
+from .data import (DatasetError, PgmError, export_dataset, generate_synthetic, ingest,
+                   split_dataset, write_pgm)
 from .losses import entropy_map
 from .model import SegModel
 from .tensor import Tensor
@@ -51,6 +52,16 @@ def _int_list(text: str) -> list:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -101,7 +112,8 @@ def cmd_train(args):
 def cmd_evaluate(args):
     cfg = _config_from_args(args)
     model, _ = _load_model(args, cfg)
-    records = load_dataset(cfg)
+    # the held-out records of the split that ``fit`` trained and reported on
+    _, records = split_dataset(load_dataset(cfg), cfg.split_fraction, cfg.seed)
     per_image, mean = evaluate_model(model, records, cfg)
     rows = [{"stem": rec.stem or str(i), "dice": m.dice, "iou": m.iou,
              "fdr": m.fdr, "auc": m.auc}
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--size", type=int, default=32)
-    p.add_argument("--max-probes", type=int, default=40)
+    p.add_argument("--max-probes", type=_positive_int, default=40)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -349,16 +349,41 @@ def upsample_nearest2(a: Tensor) -> Tensor:
 
 # -- convolution -----------------------------------------------------------
 
-def _im2col(a: np.ndarray, k: int) -> np.ndarray:
-    """(N, C, H, W) -> channel-major patches (C*k*k, N*H*W), zero padding (k-1)/2."""
-    n, c, h, w = a.shape
-    if k == 1:
-        return a.transpose(1, 0, 2, 3).reshape(c, n * h * w)
-    pad = (k - 1) // 2
-    ap = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=a.dtype)
-    ap[:, :, pad:pad + h, pad:pad + w] = a
-    win = np.lib.stride_tricks.sliding_window_view(ap, (k, k), axis=(2, 3))
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * h * w)
+_TAPS = [(dy, dx) for dy in range(3) for dx in range(3)]
+
+
+def _flat_pad(a_cm: np.ndarray) -> np.ndarray:
+    """Channel-major (C, N, H, W) -> zero-padded flat (C, N*(H+2)*(W+2) + 2*(W+3)).
+
+    Each sample gets a one-pixel zero ring, and the flat rows get a W+3
+    margin at both ends, so every 3x3 tap of every padded position is a
+    column slice: tap (dy, dx) of position q is column q + dy*(W+2) + dx.
+    """
+    c, n, h, w = a_cm.shape
+    m = n * (h + 2) * (w + 2)
+    buf = np.zeros((c, m + 2 * (w + 3)), dtype=a_cm.dtype)
+    core = buf[:, w + 3:w + 3 + m].reshape(c, n, h + 2, w + 2)
+    core[:, :, 1:h + 1, 1:w + 1] = a_cm
+    return buf
+
+
+def _tap_sum(kernel: np.ndarray, buf: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+    """3x3 cross-correlation of a ``_flat_pad`` buffer: the sum over the nine
+    taps of ``kernel[:, :, dy, dx] @ shifted slice``, cropped to a contiguous
+    channel-major (O, N, H, W).  A tap that falls outside its sample reads
+    the zero ring, so no output mixes samples."""
+    o, c = kernel.shape[:2]
+    m = n * (h + 2) * (w + 2)
+    taps = kernel.transpose(2, 3, 0, 1).copy()
+    # with one input channel the GEMM is an outer product, which a broadcast
+    # multiply does several times faster than BLAS
+    product = np.multiply if c == 1 else np.matmul
+    acc = product(taps[0, 0], buf[:, :m])
+    tmp = np.empty_like(acc)
+    for dy, dx in _TAPS[1:]:
+        off = dy * (w + 2) + dx
+        acc += product(taps[dy, dx], buf[:, off:off + m], out=tmp)
+    return acc.reshape(o, n, h + 2, w + 2)[:, :, 1:h + 1, 1:w + 1].copy()
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -366,8 +391,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     kernels 1x1 or 3x3.
 
     x: (N, C, H, W); kernel: (O, C, k, k); bias: (O,); zero padding
-    (k-1)/2.  The im2col matrix is channel-major, (C*k*k, N*H*W), so each
-    row is copied along contiguous W, and backward reuses it.
+    (k-1)/2.  A 1x1 conv is one matmul of channel-major data.  A 3x3 conv
+    pads the input once into a flat channel-major buffer (``_flat_pad``)
+    and sums nine GEMMs of the kernel taps with shifted column slices of
+    it (``_tap_sum``); backward reuses the buffer for the kernel gradient,
+    and the input gradient is the same tap sum over the padded output
+    gradient with the flipped, channel-swapped kernel.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input and OCkk kernel, got {x.shape}, {kernel.shape}")
@@ -379,13 +408,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, kernel expects {ck}")
     if bias is not None and bias.shape != (o,):
         raise ShapeError(f"conv2d bias must have shape ({o},), got {bias.shape}")
-    k = kh
-    cols = _im2col(x.data, k)
-    wmat = kernel.data.reshape(o, c * k * k)
-    out_cm = wmat @ cols
+    x_cm = x.data.transpose(1, 0, 2, 3)
+    if kh == 1:
+        cols = x_cm.reshape(c, n * h * w)
+        out_cm = (kernel.data.reshape(o, c) @ cols).reshape(o, n, h, w)
+    else:
+        cols = _flat_pad(x_cm)
+        out_cm = _tap_sum(kernel.data, cols, n, h, w)
     if bias is not None:
-        out_cm += bias.data[:, None]
-    out_data = out_cm.reshape(o, n, h, w).transpose(1, 0, 2, 3)
+        out_cm += bias.data[:, None, None, None]
+    out_data = out_cm.transpose(1, 0, 2, 3)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     req = any(p.requires_grad for p in parents)
@@ -395,13 +427,27 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         g2 = g.transpose(1, 0, 2, 3).reshape(o, n * h * w)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g2.sum(axis=1))
+        if kh == 1:
+            if kernel.requires_grad:
+                kernel._accumulate((g2 @ cols.T).reshape(o, c, 1, 1))
+            if x.requires_grad:
+                gx = kernel.data.reshape(o, c).T @ g2
+                x._accumulate(gx.reshape(c, n, h, w).transpose(1, 0, 2, 3))
+            return
+        gbuf = _flat_pad(g2.reshape(o, n, h, w))
         if kernel.requires_grad:
-            kernel._accumulate((g2 @ cols.T).reshape(o, c, k, k))
+            # the zero ring of gbuf drops every product at a non-output position
+            m = n * (h + 2) * (w + 2)
+            gcore = gbuf[:, w + 3:w + 3 + m]
+            gk = np.empty_like(kernel.data)
+            for dy, dx in _TAPS:
+                off = dy * (w + 2) + dx
+                gk[:, :, dy, dx] = gcore @ cols[:, off:off + m].T
+            kernel._accumulate(gk)
         if x.requires_grad:
             # grad-x is the convolution of g with the flipped, channel-swapped kernel
-            flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
-            gx = flipped @ _im2col(g, k)
-            x._accumulate(gx.reshape(c, n, h, w).transpose(1, 0, 2, 3))
+            flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            x._accumulate(_tap_sum(flipped, gbuf, n, h, w).transpose(1, 0, 2, 3))
 
     out._backward = _bw if req else None
     return out
@@ -469,8 +515,11 @@ def finite_diff_check(f, params, eps=1e-5, max_probes=None, rng=None) -> float:
     ``f(params) -> scalar Tensor`` must be deterministic (stochastic draws
     frozen).  Relative error per coordinate is
     |analytic - central| / max(1, |central|).  Probes every coordinate
-    unless ``max_probes`` caps the count (coordinates then sampled by rng).
+    unless ``max_probes`` caps the count (coordinates then sampled by rng);
+    a cap below 1 would check nothing, so it is a ValueError.
     """
+    if max_probes is not None and max_probes < 1:
+        raise ValueError(f"max_probes must be at least 1, got {max_probes}")
     for t in params:
         t.requires_grad = True
         t.zero_grad()

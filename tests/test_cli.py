@@ -15,8 +15,8 @@ import pytest
 import causalseg
 from causalseg.cli import _config_from_args, build_parser, main
 from causalseg.config import TrainConfig, load_train_config
-from causalseg.data import read_pgm, write_pgm
-from causalseg.train import METRICS_COLUMNS
+from causalseg.data import read_pgm, split_dataset, write_pgm
+from causalseg.train import METRICS_COLUMNS, load_dataset
 
 TINY = ["--n-samples", "6", "--size", "16", "--batch", "2", "--epochs", "2",
         "--k", "4", "--no-augment", "--lr", "0.01", "--weight-decay", "0"]
@@ -88,8 +88,11 @@ def test_evaluate_emits_csv(run_dir, tmp_path, capsys):
     assert "mean: dice" in capsys.readouterr().out
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert rows[-1]["stem"] == "mean"
-    assert len(rows) == 7  # 6 per-image rows + mean
+    # the held-out split of the 6 samples only, as fit reported it, then the mean
+    cfg = _config_from_args(build_parser().parse_args(["evaluate", "--checkpoint", "x", *TINY]))
+    _, test = split_dataset(load_dataset(cfg), cfg.split_fraction, cfg.seed)
+    assert len(test) == 2
+    assert [row["stem"] for row in rows] == [rec.stem for rec in test] + ["mean"]
 
 
 def test_evaluate_rejects_wrong_architecture(run_dir, capsys):
@@ -167,6 +170,14 @@ def test_gradcheck_pass_and_fail_exit_codes(capsys):
     assert "PASS" in capsys.readouterr().out
     assert main([*argv, "--tolerance", "1e-30"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_gradcheck_max_probes_below_one_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--k", "4", "--size", "16", "--max-probes", value])
+    assert exc.value.code == 2
+    assert "argument --max-probes: expected a positive integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, message", [

@@ -177,10 +177,10 @@ class TestConv2d:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("with_bias", [False, True])
-    def test_batched_non_square_matches_brute_force(self, k, dtype, with_bias):
+    def test_batched_non_square_matches_brute_force(self, k, dtype, with_bias, c_in=2):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(3, 2, 5, 7)).astype(dtype)
-        kern = rng.normal(size=(4, 2, k, k)).astype(dtype)
+        x = rng.normal(size=(3, c_in, 5, 7)).astype(dtype)
+        kern = rng.normal(size=(4, c_in, k, k)).astype(dtype)
         bias = rng.normal(size=4).astype(dtype) if with_bias else None
         out = T.conv2d(T.Tensor(x), T.Tensor(kern), None if bias is None else T.Tensor(bias))
         expected = brute_force_conv(x.astype(np.float64), kern.astype(np.float64), pad=(k - 1) // 2)
@@ -191,10 +191,17 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, expected, rtol=tol, atol=tol)
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_input_kernel_and_bias_gradients_match_fd(self, k):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_one_input_channel_matches_brute_force(self, k, dtype, with_bias):
+        # C=1 takes the broadcast tap product instead of a GEMM
+        self.test_batched_non_square_matches_brute_force(k, dtype, with_bias, c_in=1)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_input_kernel_and_bias_gradients_match_fd(self, k, c_in=2):
         rng = np.random.default_rng(9)
-        x = T.Tensor(rng.normal(size=(3, 2, 4, 5)))
-        kern = T.Tensor(rng.normal(size=(3, 2, k, k)))
+        x = T.Tensor(rng.normal(size=(3, c_in, 4, 5)))
+        kern = T.Tensor(rng.normal(size=(3, c_in, k, k)))
         bias = T.Tensor(rng.normal(size=3))
         weights = T.Tensor(rng.normal(size=(3, 3, 4, 5)))
 
@@ -203,6 +210,28 @@ class TestConv2d:
             return T.tsum(T.mul(T.gelu(T.conv2d(xp, kp, bp)), weights))
 
         assert T.finite_diff_check(f, [x, kern, bias]) < 1e-6
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_input_channel_gradients_match_fd(self, k):
+        self.test_input_kernel_and_bias_gradients_match_fd(k, c_in=1)
+
+    @pytest.mark.parametrize("c_in", [1, 3])
+    def test_no_tap_reads_a_neighbouring_sample(self, c_in):
+        # samples 0 and 2 are all zeros, so any value from sample 1 that
+        # leaked across the padding between samples would show in them
+        rng = np.random.default_rng(11)
+        x = np.zeros((3, c_in, 4, 6))
+        x[1] = rng.normal(size=(c_in, 4, 6)) + 5.0
+        kern = T.Tensor(rng.normal(size=(2, c_in, 3, 3)) + 1.0, requires_grad=True)
+        bias = np.array([0.25, -1.5])
+        xt = T.Tensor(x, requires_grad=True)
+        out = T.conv2d(xt, kern, T.Tensor(bias))
+        np.testing.assert_array_equal(out.data[[0, 2]], np.broadcast_to(bias[:, None, None], (2, 2, 4, 6)))
+        # and the input gradient stays inside its sample
+        g = np.zeros(out.shape)
+        g[1] = rng.normal(size=g.shape[1:])
+        out._backward(g)
+        assert not xt.grad[[0, 2]].any() and xt.grad[1].any()
 
 
 class TestBackward:
@@ -268,6 +297,12 @@ class TestFiniteDiffCheck:
         p = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
         err = T.finite_diff_check(lambda ps: T.tsum(T.mul(ps[0], T.Tensor(np.zeros(2)))), [p])
         assert err == 0.0
+
+    @pytest.mark.parametrize("max_probes", [0, -1])
+    def test_probe_count_below_one_is_rejected(self, max_probes):
+        p = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with pytest.raises(ValueError, match="max_probes must be at least 1"):
+            T.finite_diff_check(lambda ps: T.tsum(ps[0]), [p], max_probes=max_probes)
 
     def test_softmax_fd(self):
         rng = np.random.default_rng(8)

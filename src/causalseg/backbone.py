@@ -4,12 +4,10 @@ Encoder stage s applies conv3x3 -> gelu -> avgpool2, halving resolution;
 the decoder mirrors it with nearest-neighbor upsampling and encoder skip
 concatenation, ending in a 1x1 conv to a single logit plane.  Every path
 is batched: images are (N,1,H,W) and logits (N,1,H,W), with N = 1 for a
-single image.  A per-stage fusion hook lets the intervention module rewrite
-decoder features; the identity hook yields the plain conditional P(Y'|X)
-baseline.
+single image.  ``encode`` returns the list of per-stage feature maps.  A
+per-stage fusion hook lets the intervention module rewrite decoder
+features; the identity hook yields the plain conditional P(Y'|X) baseline.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,19 +15,11 @@ from . import tensor as T
 from .layers import Conv2d
 
 
-@dataclass
-class EncoderFeatures:
-    """Per-stage feature maps; stage s has shape (N, C_s, H/2^s, W/2^s)."""
-
-    stages: list
-
-
 class EncoderDecoder:
     """U-shaped net; decoder channel plan per stage is exposed for fusion."""
 
     def __init__(self, reg: T.ParameterRegistry, channels, rng, dtype=np.float32, name="backbone"):
         self.depth = len(channels)
-        self.channels = tuple(channels)
         self.enc = []
         c_prev = 1
         for s, c in enumerate(channels):
@@ -47,8 +37,9 @@ class EncoderDecoder:
             c_run = c_out
         self.head = Conv2d(reg, f"{name}.head", c_run, 1, 1, rng, dtype)
 
-    def encode(self, image: T.Tensor) -> EncoderFeatures:
-        """image: (N,1,H,W) batch, values in [0,1]."""
+    def encode(self, image: T.Tensor) -> list:
+        """image: (N,1,H,W) batch, values in [0,1].  Returns the stage
+        features; stage s has shape (N, C_s, H/2^(s+1), W/2^(s+1))."""
         if image.ndim != 4 or image.shape[1] != 1:
             raise T.ShapeError(f"encode expects (N,1,H,W), got {image.shape}")
         h, w = image.shape[2], image.shape[3]
@@ -60,13 +51,13 @@ class EncoderDecoder:
         for conv in self.enc:
             x = T.avgpool2(T.gelu(conv(x)))
             stages.append(x)
-        return EncoderFeatures(stages)
+        return stages
 
-    def decode(self, features: EncoderFeatures, hook=None) -> T.Tensor:
-        """Run decoder stages; ``hook(stage, feature) -> feature`` may rewrite
-        each stage output (shape must be preserved).  Returns logits (N,1,H,W).
+    def decode(self, stages: list, hook=None) -> T.Tensor:
+        """Run decoder stages on ``encode``'s features; ``hook(stage, feature)
+        -> feature`` may rewrite each stage output, keeping its shape.
+        Returns logits (N,1,H,W).
         """
-        stages = features.stages
         x = stages[-1]
         for s, conv in enumerate(self.dec):
             x = T.upsample_nearest2(x)
@@ -75,9 +66,5 @@ class EncoderDecoder:
                 x = T.concat([x, stages[skip_idx]], axis=1)
             x = T.gelu(conv(x))
             if hook is not None:
-                fused = hook(s, x)
-                if fused.shape != x.shape:
-                    raise T.ShapeError(
-                        f"fusion hook changed stage {s} shape {x.shape} -> {fused.shape}")
-                x = fused
+                x = hook(s, x)
         return self.head(x)

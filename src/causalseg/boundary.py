@@ -1,15 +1,13 @@
 """Sobel boundary bands and the uncertainty-weighted boundary loss.
 
 The band is the Chebyshev dilation (radius w) of the ground-truth mask's
-Sobel edge pixels; ``boundary_band`` works on one 2-d mask and
-``band_batch`` on a (B,1,H,W) batch of them.  The loss and
+Sobel edge pixels; ``boundary_band`` returns the boolean band of one 2-d
+mask and ``band_batch`` stacks them for a (B,1,H,W) batch.  The loss and
 the uncertainty map work on (B,1,H,W) batches: on band pixels the loss is
 a cross-entropy weighted by (1 + V_i), where V_i is the squared deviation
 of each prediction from its image's band-mean prediction.  V is
 differentiable through the predictions.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import binary_dilation
@@ -19,15 +17,6 @@ from .losses import cross_entropy
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 SOBEL_Y = SOBEL_X.T
-
-
-@dataclass
-class BoundaryBand:
-    """band: binary H x W membership map; b: mask values on band pixels."""
-
-    band: np.ndarray
-    b: np.ndarray
-    n: int
 
 
 def _correlate3(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -53,20 +42,14 @@ def sobel_magnitude(mask: np.ndarray) -> np.ndarray:
     return np.sqrt(gx * gx + gy * gy)
 
 
-def boundary_band(mask: np.ndarray, width: int = 2) -> BoundaryBand:
-    """Dilate the Sobel edge set by a Chebyshev radius ``width``.
-
-    A uniform mask (no edges) yields an empty band with n = 0.
+def boundary_band(mask: np.ndarray, width: int = 2) -> np.ndarray:
+    """Boolean H x W band: the Sobel edge set dilated by a Chebyshev radius
+    ``width``.  A uniform mask (no edges) yields an empty band.
     """
     if width < 1:
         raise ValueError(f"band width must be >= 1, got {width}")
-    mask = np.asarray(mask)
-    edges = sobel_magnitude(mask) > 0
-    if not edges.any():
-        return BoundaryBand(np.zeros_like(edges), np.zeros(0), 0)
     size = 2 * width + 1
-    band = binary_dilation(edges, structure=np.ones((size, size), dtype=bool))
-    return BoundaryBand(band, mask[band].astype(np.float64), int(band.sum()))
+    return binary_dilation(sobel_magnitude(mask) > 0, structure=np.ones((size, size), dtype=bool))
 
 
 def _band_sizes(band: np.ndarray, dtype) -> T.Tensor:
@@ -105,7 +88,7 @@ def usd_loss(pred: T.Tensor, truth: np.ndarray, band: np.ndarray, v: T.Tensor) -
 
 def band_batch(masks: np.ndarray, width: int = 2) -> np.ndarray:
     """(B,1,H,W) 0/1 band membership of a (B,1,H,W) mask batch, one band per mask."""
-    return np.stack([boundary_band(m[0], width).band for m in masks])[:, None]
+    return np.stack([boundary_band(m[0], width) for m in masks])[:, None]
 
 
 def usd_batch(pred: T.Tensor, masks: np.ndarray, width: int = 2,

@@ -4,15 +4,14 @@ Each decoder stage owns a learnable n x K logit matrix whose row softmax
 gives simplex mixing weights over the K sampled confusion features.  The
 mixed vector is tiled spatially, added to the stage feature, and the pair
 is gated by per-channel sigmoid weights computed from their concatenation
-(conv3x3 -> gelu -> conv1x1 -> GAP -> sigmoid).  One latent draw is shared
-by every stage within a forward pass.  Everything is batched: latents are
-(B,K), mixed vectors (B,n) and stage features (B,n,H,W).
+(conv3x3 -> gelu -> conv1x1 -> GAP -> sigmoid).  One latent draw, a (B,K)
+Tensor, is shared by every stage within a forward pass.  Everything is
+batched: mixed vectors are (B,n) and stage features (B,n,H,W).
 """
 
 import numpy as np
 
 from . import tensor as T
-from .gsm import LatentSample
 from .layers import Conv2d
 
 
@@ -22,8 +21,6 @@ class MixingWeights:
     def __init__(self, reg: T.ParameterRegistry, stage, n, k, dtype=np.float32):
         # zero logits -> uniform mixture at init
         self.logits = reg.add(f"cibm.stage{stage}.omega_logits", np.zeros((n, k), dtype=dtype))
-        self.stage = stage
-        self.n = n
         self.k = k
 
     def omega(self) -> T.Tensor:
@@ -50,11 +47,11 @@ class ChannelGate:
         return T.sigmoid(T.global_avg_pool(h))  # (B, n), strictly inside (0,1)
 
 
-def mix(weights: MixingWeights, z: LatentSample) -> T.Tensor:
+def mix(weights: MixingWeights, z: T.Tensor) -> T.Tensor:
     """Omega x Z per sample: (B,K) latents -> (B,n)."""
-    if z.z.shape[-1] != weights.k:
-        raise T.ShapeError(f"mix: K mismatch {z.z.shape[-1]} vs {weights.k}")
-    return T.matmul(z.z, T.transpose(weights.omega()))
+    if z.shape[-1] != weights.k:
+        raise T.ShapeError(f"mix: K mismatch {z.shape[-1]} vs {weights.k}")
+    return T.matmul(z, T.transpose(weights.omega()))
 
 
 def fuse(feature: T.Tensor, mixed: T.Tensor, gate: ChannelGate) -> T.Tensor:
@@ -79,17 +76,14 @@ class InterventionPipeline:
     """Per-stage mixing + gating sharing a single latent draw per pass."""
 
     def __init__(self, reg: T.ParameterRegistry, stage_channels, k, rng, dtype=np.float32):
-        self.k = k
         self.mixers = [MixingWeights(reg, s, n, k, dtype) for s, n in enumerate(stage_channels)]
         self.gates = [ChannelGate(reg, s, n, rng, dtype) for s, n in enumerate(stage_channels)]
 
-    def hook(self, z: LatentSample):
-        """Decoder fusion hook closing over one shared latent sample."""
+    def hook(self, z: T.Tensor):
+        """Decoder fusion hook closing over one shared (B,K) latent."""
         mixers, gates = self.mixers, self.gates
 
         def _fuse(stage: int, feature: T.Tensor) -> T.Tensor:
-            if stage >= len(mixers):
-                raise T.ShapeError(f"no mixing weights for decoder stage {stage}")
             return fuse(feature, mix(mixers[stage], z), gates[stage])
 
         return _fuse

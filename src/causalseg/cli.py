@@ -197,16 +197,16 @@ def cmd_inspect_band(args):
     stem = rec.stem or str(args.index)
     band = boundary_band(rec.mask, cfg.band_width)
     edges = sobel_magnitude(rec.mask)
-    write_pgm(outdir / f"{stem}.band.pgm", band.band.astype(np.float64))
+    write_pgm(outdir / f"{stem}.band.pgm", band.astype(np.float64))
     write_pgm(outdir / f"{stem}.sobel.pgm", edges / max(edges.max(), 1.0))
     emitted = ["band", "sobel"]
     if args.checkpoint:
         model, _ = _load_model(args, cfg)
         pred = predict(model, rec.image[None], 1).astype(np.float64)
-        v = uncertainty_map(Tensor(pred[:, None]), band.band[None, None]).data[0, 0]
+        v = uncertainty_map(Tensor(pred[:, None]), band[None, None]).data[0, 0]
         write_pgm(outdir / f"{stem}.uncertainty.pgm", v / max(v.max(), 1e-12))
         emitted.append("uncertainty")
-    print(f"band pixels: {band.n}; wrote {', '.join(emitted)} maps to {outdir}")
+    print(f"band pixels: {int(band.sum())}; wrote {', '.join(emitted)} maps to {outdir}")
     return 0
 
 
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
-    _add_config_flags(p)
+    _add_config_flags(p, require_seed=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", help="per-image metrics CSV")
     p.set_defaults(func=cmd_evaluate)

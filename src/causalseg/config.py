@@ -29,12 +29,12 @@ class ModelConfig:
 
     k: int = 128
     size: int = 64
-    channels: tuple = BACKBONE_CHANNELS
     use_gsm: bool = True
     use_cibm: bool = True
 
     def canonical(self) -> str:
-        ch = ",".join(str(c) for c in self.channels)
+        # the backbone channels stay in the text so hashes match older checkpoints
+        ch = ",".join(str(c) for c in BACKBONE_CHANNELS)
         return (f"k={self.k};size={self.size};channels={ch};"
                 f"gsm={int(self.use_gsm)};cibm={int(self.use_cibm)}")
 

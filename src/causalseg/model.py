@@ -1,9 +1,10 @@
 """Segmentation model assembly: backbone plus optional GSm and CIBM branches.
 
-The latent confusion features are sampled from the image-side prior head;
-the mask-side posterior head exists only to constrain that prior with a KL
-term during training and is never evaluated at inference.  With CIBM alone
-(no learned prior) the latents come from a fixed standard normal.
+The latent confusion features, one (B,K) Tensor per forward, are sampled
+from the image-side prior head with noise from the caller's generator; the
+mask-side posterior head exists only to constrain that prior with a KL term
+during training and is never evaluated at inference.  With CIBM alone (no
+learned prior) the latents come from a fixed standard normal.
 """
 
 from dataclasses import dataclass
@@ -14,8 +15,8 @@ import numpy as np
 from . import tensor as T
 from .backbone import EncoderDecoder
 from .cibm import InterventionPipeline
-from .config import ModelConfig
-from .gsm import GDEB, PCB, DistributionHead, GaussianSet, LatentSample, extract_posterior, extract_prior, sample
+from .config import BACKBONE_CHANNELS, ModelConfig
+from .gsm import DistributionHead, GaussianSet, extract_posterior, extract_prior, sample
 from .rngs import derive_rng
 
 
@@ -25,7 +26,7 @@ class ForwardResult:
     pred: T.Tensor
     prior: Optional[GaussianSet]
     posterior: Optional[GaussianSet]
-    latent: Optional[LatentSample]
+    latent: Optional[T.Tensor]
 
 
 class SegModel:
@@ -37,13 +38,13 @@ class SegModel:
         self.dtype = dtype
         self.registry = T.ParameterRegistry()
         self.backbone = EncoderDecoder(
-            self.registry, config.channels, derive_rng(seed, "init", "backbone"), dtype)
+            self.registry, BACKBONE_CHANNELS, derive_rng(seed, "init", "backbone"), dtype)
         self.gdeb = self.pcb = self.pipeline = None
         if config.use_gsm:
             self.gdeb = DistributionHead(
-                self.registry, GDEB, config.k, derive_rng(seed, "init", "gdeb"), dtype=dtype)
+                self.registry, "gdeb", config.k, derive_rng(seed, "init", "gdeb"), dtype=dtype)
             self.pcb = DistributionHead(
-                self.registry, PCB, config.k, derive_rng(seed, "init", "pcb"), dtype=dtype)
+                self.registry, "pcb", config.k, derive_rng(seed, "init", "pcb"), dtype=dtype)
         if config.use_cibm:
             self.pipeline = InterventionPipeline(
                 self.registry, self.backbone.stage_channels, config.k,
@@ -57,32 +58,30 @@ class SegModel:
             raise T.ShapeError(f"expected (B,H,W) or (B,1,H,W), got {data.shape}")
         return T.Tensor(data)
 
-    def forward(self, images, masks=None, *, training: bool,
-                rng=None, frozen_eps=None) -> ForwardResult:
+    def forward(self, images, masks=None, *, training: bool, rng=None) -> ForwardResult:
         """images: (B,1,H,W) or (B,H,W); masks required when training with GSm.
 
-        At inference the latent draw defaults to the distribution mean
-        (``rng=None``); pass rng or frozen_eps for a stochastic draw.
+        The latent draw takes its noise from ``rng``; with ``rng=None`` it is
+        the distribution mean.
         """
         x = images if isinstance(images, T.Tensor) else self._as_batch(images)
         batch = x.shape[0]
-        feats = self.backbone.encode(x)
+        stages = self.backbone.encode(x)
 
         prior = posterior = latent = None
         if self.config.use_gsm:
-            prior = extract_prior(x, self.gdeb, self.config.k)
+            prior = extract_prior(x, self.gdeb)
             if training:
                 if masks is None:
                     raise ValueError("training with GSm needs ground-truth masks for the posterior")
-                posterior = extract_posterior(
-                    self._as_batch(masks), self.pcb, self.config.k, training=True)
-            latent = sample(prior, rng=rng, frozen_eps=frozen_eps)
+                posterior = extract_posterior(self._as_batch(masks), self.pcb)
+            latent = sample(prior, rng=rng)
         elif self.config.use_cibm:
             fixed = GaussianSet.standard((batch, self.config.k), dtype=self.dtype)
-            latent = sample(fixed, rng=rng, frozen_eps=frozen_eps)
+            latent = sample(fixed, rng=rng)
 
         hook = self.pipeline.hook(latent) if self.pipeline is not None else None
-        logits = self.backbone.decode(feats, hook)
+        logits = self.backbone.decode(stages, hook)
         return ForwardResult(logits=logits, pred=T.sigmoid(logits), prior=prior,
                              posterior=posterior, latent=latent)
 

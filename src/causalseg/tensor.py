@@ -496,15 +496,7 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
 
 def ancestors(t: Tensor) -> set[int]:
     """ids of every tensor in ``t``'s backward graph, including ``t``."""
-    seen = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node._parents)
-    return seen
+    return {id(node) for node in _topo_order(t)}
 
 
 # -- finite-difference oracle ----------------------------------------------

@@ -73,7 +73,7 @@ def test_03_reparameterization_moments():
     worst = 0.0
     for i, (mu, sig) in enumerate(pairs):
         gset = gsm.GaussianSet.from_arrays(np.full(n, mu), np.full(n, sig))
-        z = gsm.sample(gset, rng=derive_rng(i, "acceptance", "draw")).z.data
+        z = gsm.sample(gset, rng=derive_rng(i, "acceptance", "draw")).data
         mean_err = abs(float(z.mean()) - mu)
         std_err = abs(float(z.std()) - sig)
         assert mean_err < 0.05, f"(mu={mu}, sigma={sig}): mean off by {mean_err}"

@@ -70,7 +70,7 @@ class TestSobel:
 class TestBoundaryBand:
     def test_empty_mask_empty_band(self):
         band = B.boundary_band(np.zeros((8, 8), dtype=np.uint8), width=2)
-        assert band.n == 0 and not band.band.any() and band.b.size == 0
+        assert band.dtype == bool and not band.any()
 
     def test_square_band_by_enumeration(self):
         # 4x4 square at rows/cols 6..9 of a 16x16 grid.  Sobel support is the
@@ -81,30 +81,30 @@ class TestBoundaryBand:
         band = B.boundary_band(mask, width=1)
         expected = np.zeros((16, 16), dtype=bool)
         expected[4:12, 4:12] = True
-        np.testing.assert_array_equal(band.band, expected)
-        assert band.n == 64
-        assert band.b.sum() == 16  # the square's own pixels
-        assert set(np.unique(band.b)) <= {0.0, 1.0}
+        np.testing.assert_array_equal(band, expected)
+        assert band.sum() == 64
+        assert mask[band].sum() == 16  # the square's own pixels
+        assert set(np.unique(mask[band])) <= {0, 1}
 
     def test_band_values_match_mask(self):
         mask = square_mask()
         band = B.boundary_band(mask, width=2)
-        np.testing.assert_array_equal(band.b, mask[band.band].astype(float))
+        assert mask[band].sum() == mask.sum()  # the band holds the whole square
 
     def test_monotone_in_width(self):
         rng = np.random.default_rng(5)
         mask = (rng.random((16, 16)) < 0.3).astype(np.uint8)
-        prev = B.boundary_band(mask, width=1).band
+        prev = B.boundary_band(mask, width=1)
         for w in (2, 3, 4):
-            cur = B.boundary_band(mask, width=w).band
+            cur = B.boundary_band(mask, width=w)
             assert np.all(cur[prev])
             prev = cur
 
     def test_saturation_covers_grid(self):
         mask = square_mask()
         band = B.boundary_band(mask, width=16)
-        assert band.n == 256
-        np.testing.assert_array_equal(band.b, mask.astype(float).ravel())
+        assert band.sum() == 256
+        np.testing.assert_array_equal(mask[band], mask.ravel())
 
     def test_width_validation(self):
         with pytest.raises(ValueError, match="width"):
@@ -120,7 +120,7 @@ class TestUncertaintyMap:
     def test_equal_predictions_zero_uncertainty(self):
         band = B.boundary_band(square_mask(), width=1)
         pred = T.Tensor(np.full((1, 1, 16, 16), 0.7))
-        v = B.uncertainty_map(pred, batch1(band.band))
+        v = B.uncertainty_map(pred, batch1(band))
         np.testing.assert_allclose(v.data, np.zeros((1, 1, 16, 16)), atol=1e-15)
 
     def test_two_pixel_band(self):
@@ -134,19 +134,19 @@ class TestUncertaintyMap:
         rng = np.random.default_rng(10)
         band = B.boundary_band(square_mask(), width=2)
         pred_arr = rng.random((16, 16))
-        v = B.uncertainty_map(T.Tensor(batch1(pred_arr)), batch1(band.band)).data[0, 0]
-        got = v[band.band].mean()
-        assert abs(got - pred_arr[band.band].var()) < 1e-12
+        v = B.uncertainty_map(T.Tensor(batch1(pred_arr)), batch1(band)).data[0, 0]
+        got = v[band].mean()
+        assert abs(got - pred_arr[band].var()) < 1e-12
 
     def test_empty_band_gives_zero_map(self):
         band = B.boundary_band(np.zeros((8, 8), dtype=np.uint8))
-        v = B.uncertainty_map(T.Tensor(np.full((1, 1, 8, 8), 0.5)), batch1(band.band))
+        v = B.uncertainty_map(T.Tensor(np.full((1, 1, 8, 8), 0.5)), batch1(band))
         assert not v.data.any()
 
     def test_band_mean_is_per_image(self):
         band = B.boundary_band(square_mask(), width=1)
         pred = T.Tensor(np.stack([np.full((1, 16, 16), 0.2), np.full((1, 16, 16), 0.9)]))
-        v = B.uncertainty_map(pred, np.stack([batch1(band.band)[0]] * 2))
+        v = B.uncertainty_map(pred, np.stack([batch1(band)[0]] * 2))
         np.testing.assert_allclose(v.data, 0.0, atol=1e-15)
 
 
@@ -179,7 +179,8 @@ class TestUsdLoss:
         band = B.boundary_band(mask, width=1)
         pred = T.Tensor(np.full((1, 1, 16, 16), 0.4))
         got = B.usd_batch(pred, batch1(mask), width=1).item()
-        bce = -(band.b * math.log(0.4) + (1 - band.b) * math.log(0.6)).mean()
+        b = mask[band]
+        bce = -(b * math.log(0.4) + (1 - b) * math.log(0.6)).mean()
         assert abs(got - bce) < 1e-12
 
     def test_nonnegative_on_random_inputs(self):

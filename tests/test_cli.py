@@ -82,24 +82,33 @@ def test_train_resume_extends_csv(tmp_path, capsys):
 
 def test_evaluate_emits_csv(run_dir, tmp_path, capsys):
     out = tmp_path / "sub" / "eval.csv"  # the directory is made for it
-    code = main(["evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+    code = main(["evaluate", "--seed", "0", "--checkpoint", str(run_dir / "model.ckpt"),
                  "--out", str(out), *TINY])
     assert code == 0
     assert "mean: dice" in capsys.readouterr().out
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     # the held-out split of the 6 samples only, as fit reported it, then the mean
-    cfg = _config_from_args(build_parser().parse_args(["evaluate", "--checkpoint", "x", *TINY]))
+    cfg = _config_from_args(build_parser().parse_args(
+        ["evaluate", "--seed", "0", "--checkpoint", "x", *TINY]))
     _, test = split_dataset(load_dataset(cfg), cfg.split_fraction, cfg.seed)
     assert len(test) == 2
     assert [row["stem"] for row in rows] == [rec.stem for rec in test] + ["mean"]
 
 
 def test_evaluate_rejects_wrong_architecture(run_dir, capsys):
-    code = main(["evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+    code = main(["evaluate", "--seed", "0", "--checkpoint", str(run_dir / "model.ckpt"),
                  *TINY, "--k", "8"])
     assert code == 2
     assert "does not match" in capsys.readouterr().err
+
+
+def test_evaluate_requires_seed(run_dir, capsys):
+    # the held-out split depends on the training seed, which no checkpoint stores
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--checkpoint", str(run_dir / "model.ckpt"), *TINY])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sizes, flag, first_bad", [

@@ -81,10 +81,10 @@ def _mean_band_gradient(records):
     vals = []
     for r in records:
         band = boundary_band(r.mask.astype(np.float64), width=1)
-        if not band.n:
+        if not band.any():
             continue
         grad = sobel_magnitude(r.image)
-        vals.append(float(grad[band.band].mean()))
+        vals.append(float(grad[band].mean()))
     return float(np.mean(vals))
 
 

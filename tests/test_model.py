@@ -90,12 +90,16 @@ def test_stochastic_inference_differs():
     assert not np.array_equal(a.pred.data, b.pred.data)
 
 
-def test_frozen_eps_replays_forward():
+def test_fresh_generators_of_one_stream_replay_the_draw():
+    # the latent's only noise source is the generator, so two fresh
+    # generators of one stream give the same draw and the same prediction
     images, masks = _batch()
     model = SegModel(ModelConfig(**CFG), seed=0)
-    eps = derive_rng(0, "eps").standard_normal((2, 8)).astype(np.float32)
-    a = model.forward(images, masks, training=True, frozen_eps=eps)
-    b = model.forward(images, masks, training=True, frozen_eps=eps)
+    a = model.forward(images, masks, training=True, rng=derive_rng(0, "eps"))
+    b = model.forward(images, masks, training=True, rng=derive_rng(0, "eps"))
+    mean = model.forward(images, masks, training=True)
+    assert not np.array_equal(a.latent.data, mean.latent.data)
+    np.testing.assert_array_equal(a.latent.data, b.latent.data)
     np.testing.assert_array_equal(a.pred.data, b.pred.data)
 
 
@@ -107,21 +111,21 @@ def test_mixer_only_variant_uses_fixed_source():
     out = model.forward(images, masks, training=True, rng=derive_rng(0, "z"))
     assert out.prior is None and out.latent is not None
     param_ids = {id(t) for t in model.registry.tensors.values()}
-    assert not (T.ancestors(out.latent.z) & param_ids)
+    assert not (T.ancestors(out.latent) & param_ids)
 
 
 def test_latent_reaches_prediction_when_mixer_on():
     images, masks = _batch()
     model = SegModel(ModelConfig(use_gsm=True, use_cibm=True, **CFG), seed=0)
     out = model.forward(images, masks, training=True, rng=derive_rng(0, "z"))
-    assert id(out.latent.z) in T.ancestors(out.logits)
+    assert id(out.latent) in T.ancestors(out.logits)
 
 
 def test_latent_unused_without_mixer():
     images, masks = _batch()
     model = SegModel(ModelConfig(use_gsm=True, use_cibm=False, **CFG), seed=0)
     out = model.forward(images, masks, training=True, rng=derive_rng(0, "z"))
-    assert id(out.latent.z) not in T.ancestors(out.logits)
+    assert id(out.latent) not in T.ancestors(out.logits)
 
 
 def test_rejects_bad_image_rank():

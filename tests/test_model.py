@@ -90,9 +90,10 @@ def test_stochastic_inference_differs():
     assert not np.array_equal(a.pred.data, b.pred.data)
 
 
-def test_fresh_generators_of_one_stream_replay_the_draw():
-    # the latent's only noise source is the generator, so two fresh
-    # generators of one stream give the same draw and the same prediction
+def test_frozen_eps_replays_forward():
+    # the latent's only noise source is the generator, so eps is frozen in
+    # its stream: two fresh generators of one stream give the same draw and
+    # the same prediction
     images, masks = _batch()
     model = SegModel(ModelConfig(**CFG), seed=0)
     a = model.forward(images, masks, training=True, rng=derive_rng(0, "eps"))

@@ -69,9 +69,15 @@ class Tensor:
         self.grad = np.zeros_like(self.data)
 
     def _accumulate(self, g):
+        if g.shape != self.data.shape:
+            raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # the first write copies, in one pass: closures may return views
+            # of their own gradient or of saved arrays, which a later += into
+            # this .grad must not write through
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -221,7 +227,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
     def da(g):
         gk = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return np.broadcast_to(gk, a.shape).copy()
+        return np.broadcast_to(gk, a.shape)
 
     return _unary(a, out_data, da)
 
@@ -315,7 +321,7 @@ def global_avg_pool(a: Tensor) -> Tensor:
     out_data = a.data.mean(axis=(2, 3))
 
     def da(g):
-        return (np.broadcast_to(g[:, :, None, None], a.shape) / (h * w)).astype(a.data.dtype)
+        return np.broadcast_to((g / (h * w))[:, :, None, None], a.shape)
 
     return _unary(a, out_data, da)
 
@@ -338,7 +344,7 @@ def avgpool2(a: Tensor) -> Tensor:
     if a.shape[2] % 2 or a.shape[3] % 2:
         raise ShapeError(f"avgpool2: spatial dims of {a.shape} must be even")
     return _unary(a, _sum2x2(a.data) / 4.0,
-                  lambda g: (_repeat2x2(g) / 4.0).astype(a.data.dtype))
+                  lambda g: _repeat2x2(g / 4.0))
 
 
 def upsample_nearest2(a: Tensor) -> Tensor:
@@ -474,10 +480,14 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> dict[int, np.ndarray]:
-    """Populate .grad for every requires-grad tensor reachable from ``loss``.
+    """Accumulate d loss / d leaf into ``.grad`` of every requires-grad leaf
+    reachable from ``loss``.
 
     Returns {id(leaf tensor): grad} for reachable requires-grad leaves.
-    Accumulation order is the fixed reverse topological order.
+    Accumulation order is the fixed reverse topological order.  Leaves keep
+    ``.grad``; an interior node's gradient is freed (``.grad = None``) as
+    soon as its closure has passed it on.  The graph itself stays, so a
+    repeat ``backward`` over it adds one more copy of the leaf gradients.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -489,6 +499,7 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     for node in reversed(order):
         if node._backward is not None and node.requires_grad:
             node._backward(node.grad)
+            node.grad = None
         elif not node._parents and node.requires_grad:
             leaves[id(node)] = node.grad
     return leaves

@@ -197,7 +197,9 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
         resume=None, log=None, stop_at_dice=None) -> FitResult:
     """Train per the config; optionally resume, log per-epoch rows, and stop
     early once mean train Dice reaches ``stop_at_dice``.  A non-finite value
-    anywhere in an epoch raises TrainingError naming the epoch and step."""
+    anywhere in an epoch raises TrainingError naming the epoch and step; one
+    that the evaluation meets also names the parameter with the largest
+    max |value|."""
     cfg.validate()
     if records is None:
         records = load_dataset(cfg)
@@ -257,7 +259,7 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
                             sums[key] += value
                     steps += 1
                 losses = {k: v / max(steps, 1) for k, v in sums.items()}
-                where = f"epoch {epoch} evaluation"
+                where = f"epoch {epoch} evaluation after step {steps - 1}"
                 _, test_mean = evaluate_model(model, test_records, cfg)
                 stats = EpochStats(epoch=epoch, losses=losses, test=test_mean)
                 history.append(stats)
@@ -274,7 +276,13 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
                     if train_mean["dice"] >= stop_at_dice:
                         break
     except T.NonFiniteError as exc:
-        raise TrainingError(f"{where}: {exc}") from exc
+        message = f"{where}: {exc}"
+        if "evaluation" in where:
+            # the steps left every parameter finite, so name the largest one
+            peaks = {name: float(np.abs(t.data).max()) for name, t in model.registry.tensors.items()}
+            name = max(peaks, key=peaks.get)
+            message += f"; largest parameter {name}, max |value| {peaks[name]:.3g}"
+        raise TrainingError(message) from exc
     finally:
         if csv_file is not None:
             csv_file.close()

@@ -16,6 +16,7 @@ import causalseg
 from causalseg.cli import _config_from_args, build_parser, main
 from causalseg.config import TrainConfig, load_train_config
 from causalseg.data import read_pgm, split_dataset, write_pgm
+from causalseg.model import SegModel
 from causalseg.train import METRICS_COLUMNS, load_dataset
 
 TINY = ["--n-samples", "6", "--size", "16", "--batch", "2", "--epochs", "2",
@@ -279,6 +280,21 @@ def test_train_divergence_exits_2(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(argv) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_divergence_found_by_evaluation_names_step_and_parameter(tmp_path, capsys):
+    # at lr 1000 every step leaves the weights finite but huge, and the first
+    # non-finite value appears in the epoch's evaluation
+    argv = ["train", "--seed", "0", "--n-samples", "16", "--size", "16", "--batch", "4",
+            "--epochs", "2", "--k", "4", "--no-augment", "--lr", "1000",
+            "--weight-decay", "0", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    match = re.search(r"evaluation after step \d+: .*; largest parameter (\S+), max \|value\| \S+$",
+                      err.strip())
+    assert match, err
+    cfg = _config_from_args(build_parser().parse_args(argv))
+    assert match.group(1) in SegModel(cfg.model_config(), cfg.seed).registry.tensors
 
 
 def test_divergent_train_prints_only_the_error(tmp_path, capfd):

@@ -273,6 +273,48 @@ class TestBackward:
         T.backward(T.add(T.mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
         assert x.grad == pytest.approx(7.0)
 
+    def test_repeat_backward_adds_one_more_leaf_gradient(self):
+        a = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        b = T.Tensor(np.array([4.0, 5.0, -6.0]), requires_grad=True)
+        loss = T.tsum(T.mul(a, b))
+        T.backward(loss)
+        T.backward(loss)
+        np.testing.assert_array_equal(a.grad, 2 * b.data)
+        np.testing.assert_array_equal(b.grad, 2 * a.data)
+
+    def test_first_write_copies_the_incoming_gradient(self):
+        # add passes its own gradient on unchanged to y and to a; y's later
+        # += into a must not also write into y's or b's gradient
+        a = T.Tensor(np.zeros(3), requires_grad=True)
+        b = T.Tensor(np.zeros(3), requires_grad=True)
+        y = T.add(a, b)
+        T.backward(T.tsum(T.add(y, a)))
+        np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+
+    def test_interior_gradients_freed_and_leaf_gradients_owned(self):
+        rng = np.random.default_rng(3)
+        x = T.Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+        pooled = T.avgpool2(x)
+        feat = T.global_avg_pool(pooled)
+        loss = T.tsum(T.mul(feat, w))
+        T.backward(loss)
+        for node in (pooled, feat, loss):
+            assert node.grad is None
+        for leaf in (x, w):
+            assert leaf.grad.shape == leaf.shape and leaf.grad.dtype == np.float32
+            assert leaf.grad.flags.writeable and leaf.grad.flags.owndata
+        np.testing.assert_allclose(x.grad, np.broadcast_to(w.data[:, :, None, None] / 16, x.shape),
+                                   rtol=1e-6)
+
+    def test_wrongly_shaped_gradient_rejected(self):
+        a = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        out = T.Tensor(a.data.sum(), requires_grad=True, _parents=(a,),
+                       _backward=lambda g: a._accumulate(np.ones(3)))
+        with pytest.raises(T.ShapeError, match=r"gradient of shape \(3,\) for a tensor of shape \(2, 3\)"):
+            T.backward(out)
+
     def test_determinism_bit_identical(self):
         def run():
             rng = np.random.default_rng(11)

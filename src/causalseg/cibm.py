@@ -2,9 +2,11 @@
 
 Each decoder stage owns a learnable n x K logit matrix whose row softmax
 gives simplex mixing weights over the K sampled confusion features.  The
-mixed vector is tiled spatially, added to the stage feature, and the pair
-is gated by per-channel sigmoid weights computed from their concatenation
-(conv3x3 -> gelu -> conv1x1 -> GAP -> sigmoid).  One latent draw, a (B,K)
+mixed vector is added at every position of the stage feature, and the sum
+is gated by per-channel sigmoid weights of the pair (feature, tiled
+vector): conv3x3 -> gelu -> conv1x1 -> GAP -> sigmoid.  The conv3x3 of the
+tiled half runs on a tile of at most 3x3 (``T.stretch_middle``), so no
+full-size tile or concatenation is built.  One latent draw, a (B,K)
 Tensor, is shared by every stage within a forward pass.  Everything is
 batched: mixed vectors are (B,n) and stage features (B,n,H,W).
 """
@@ -42,9 +44,15 @@ class ChannelGate:
         self.conv1 = Conv2d(reg, f"cibm.stage{stage}.gate1", n, n, 1, rng, dtype)
         self.conv1.bias.data[:] = GATE_BIAS_INIT
 
-    def weights(self, pair: T.Tensor) -> T.Tensor:
-        h = self.conv1(T.gelu(self.conv3(pair)))
-        return T.sigmoid(T.global_avg_pool(h))  # (B, n), strictly inside (0,1)
+    def weights(self, feature: T.Tensor, mixed: T.Tensor) -> T.Tensor:
+        """Gates of the pair concat([feature, tiled mixed]): (B,n,H,W), (B,n) -> (B,n)."""
+        n, h, w = feature.shape[1:]
+        kernel = self.conv3.weight
+        own = T.conv2d(feature, T.narrow(kernel, 1, 0, n), self.conv3.bias)
+        tile = T.repeat_spatial(mixed, min(h, 3), min(w, 3))
+        tiled = T.stretch_middle(T.conv2d(tile, T.narrow(kernel, 1, n, n)), h, w)
+        g = self.conv1(T.gelu(T.add(own, tiled)))
+        return T.sigmoid(T.global_avg_pool(g))  # strictly inside (0,1)
 
 
 def mix(weights: MixingWeights, z: T.Tensor) -> T.Tensor:
@@ -55,20 +63,19 @@ def mix(weights: MixingWeights, z: T.Tensor) -> T.Tensor:
 
 
 def fuse(feature: T.Tensor, mixed: T.Tensor, gate: ChannelGate) -> T.Tensor:
-    """Gate the sum of the stage feature and the tiled mixed vector.
+    """Gate the sum of the stage feature and the mixed vector.
 
     feature: (B,n,H,W); mixed: (B,n).  Returns the same shape as ``feature``.
     """
     if feature.ndim != 4:
         raise T.ShapeError(f"fuse expects (B,n,H,W) features, got {feature.shape}")
-    b, n, h, w = feature.shape
+    b, n = feature.shape[:2]
     if mixed.shape[-1] != n:
         raise T.ShapeError(f"fuse: mixed length {mixed.shape[-1]} != {n} channels")
-    rep = T.repeat_spatial(mixed, h, w)
-    if rep.shape[0] != b:
-        raise T.ShapeError(f"fuse: batch mismatch {rep.shape[0]} vs {b}")
-    t = T.add(feature, rep)
-    s = gate.weights(T.concat([feature, rep], axis=1))
+    if mixed.ndim != 2 or mixed.shape[0] != b:
+        raise T.ShapeError(f"fuse: mixed of shape {mixed.shape} for a batch of {b}")
+    t = T.add(feature, T.reshape(mixed, (b, n, 1, 1)))
+    s = gate.weights(feature, mixed)
     return T.mul(T.reshape(s, (b, n, 1, 1)), t)
 
 

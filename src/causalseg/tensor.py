@@ -313,6 +313,38 @@ def repeat_spatial(v: Tensor, h: int, w: int) -> Tensor:
     return _unary(v, out_data, lambda g: g.sum(axis=(2, 3)))
 
 
+def _sum_middle(g: np.ndarray, axis: int) -> np.ndarray:
+    """Fold every interior index of ``axis`` into one: size n > 3 -> 3."""
+    first, middle, last = np.split(g, [1, g.shape[axis] - 1], axis=axis)
+    return np.concatenate([first, middle.sum(axis=axis, keepdims=True), last], axis=axis)
+
+
+def stretch_middle(a: Tensor, h: int, w: int) -> Tensor:
+    """Stretch an (N, C, min(h,3), min(w,3)) tile to (N, C, h, w) by
+    repeating its middle row and column.
+
+    A zero-padded 3x3 conv of a spatially constant map takes only these
+    values (corners, edges, interior), so it equals the same conv on a
+    constant tile of that size, stretched.
+    """
+    if a.ndim != 4 or a.shape[2:] != (min(h, 3), min(w, 3)):
+        raise ShapeError(f"stretch_middle: a tile of shape {a.shape} does not stretch to {h}x{w}")
+    out_data = a.data
+    if h > 3:
+        out_data = np.repeat(out_data, (1, h - 2, 1), axis=2)
+    if w > 3:
+        out_data = np.repeat(out_data, (1, w - 2, 1), axis=3)
+
+    def da(g):
+        if h > 3:
+            g = _sum_middle(g, 2)
+        if w > 3:
+            g = _sum_middle(g, 3)
+        return g
+
+    return _unary(a, out_data, da)
+
+
 def global_avg_pool(a: Tensor) -> Tensor:
     """Mean over the spatial dims: (N, C, H, W) -> (N, C)."""
     if a.ndim != 4:

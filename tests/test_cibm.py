@@ -5,6 +5,9 @@ import pytest
 
 from causalseg import cibm
 from causalseg import tensor as T
+from causalseg.config import ModelConfig
+from causalseg.data import generate_synthetic
+from causalseg.model import SegModel
 from causalseg.rngs import derive_rng
 
 
@@ -114,8 +117,9 @@ class TestFuse:
     def test_gate_strictly_inside_unit_interval(self):
         reg, gate = make_gate(5, seed=5)
         rng = np.random.default_rng(6)
-        pair = T.Tensor(rng.normal(size=(2, 10, 4, 4)).astype(np.float32))
-        s = gate.weights(pair).data
+        feature = T.Tensor(rng.normal(size=(2, 5, 4, 4)).astype(np.float32))
+        mixed = T.Tensor(rng.normal(size=(2, 5)).astype(np.float32))
+        s = gate.weights(feature, mixed).data
         assert s.shape == (2, 5) and np.all(s > 0.0) and np.all(s < 1.0)
 
     def test_channel_mismatch(self):
@@ -155,6 +159,64 @@ class TestFuse:
         T.backward(total)
         for name, t in reg.tensors.items():
             assert np.all(np.isfinite(t.grad)), name
+
+
+def concat_fuse(feature, mixed, gate):
+    """``fuse`` in its defining form: the gate convolves the concatenation
+    of the feature and the full-size tile of the mixed vector."""
+    b, n, h, w = feature.shape
+    rep = T.repeat_spatial(mixed, h, w)
+    pair = T.concat([feature, rep], axis=1)
+    s = T.sigmoid(T.global_avg_pool(gate.conv1(T.gelu(gate.conv3(pair)))))
+    return T.mul(T.reshape(s, (b, n, 1, 1)), T.add(feature, rep))
+
+
+class TestClosedFormGate:
+    @pytest.mark.parametrize("h, w", [(2, 2), (3, 3), (4, 6), (8, 8)])
+    def test_matches_the_concatenated_reference(self, h, w):
+        n = 3
+        reg, gate = make_gate(n, seed=21, dtype=np.float64)
+        rng = np.random.default_rng(22)
+        gate.conv3.bias.data[:] = rng.normal(size=n)
+        feature_arr = rng.normal(size=(2, n, h, w))
+        mixed_arr = rng.normal(size=(2, n))
+        probe = T.Tensor(rng.normal(size=(2, n, h, w)))
+        results = []
+        for fuse in (cibm.fuse, concat_fuse):
+            reg.zero_grad()
+            feature = T.Tensor(feature_arr, requires_grad=True)
+            mixed = T.Tensor(mixed_arr, requires_grad=True)
+            out = fuse(feature, mixed, gate)
+            T.backward(T.tsum(T.mul(out, probe)))
+            results.append({"out": out.data, "feature": feature.grad, "mixed": mixed.grad,
+                            **{name: t.grad.copy() for name, t in reg.tensors.items()}})
+        closed, reference = results
+        assert "cibm.stage0.gate3.weight" in closed and "cibm.stage0.gate3.bias" in closed
+        for key, value in reference.items():
+            np.testing.assert_allclose(closed[key], value, rtol=0, atol=1e-12, err_msg=key)
+
+    def test_no_full_resolution_2n_channel_conv_in_the_model(self, monkeypatch):
+        # the gain: every CIBM gate convolves n channels at full size and its
+        # tiled half only on a tile of at most 3x3
+        size = 32
+        model = SegModel(ModelConfig(k=4, size=size, use_gsm=True, use_cibm=True), seed=0)
+        records = generate_synthetic(2, size, 0)
+        images = np.stack([r.image for r in records]).astype(np.float32)
+        masks = np.stack([r.mask for r in records]).astype(np.float32)
+        inputs = []
+        conv2d = T.conv2d
+
+        def spy(x, kernel, bias=None):
+            inputs.append(x.shape[1:])
+            return conv2d(x, kernel, bias)
+
+        monkeypatch.setattr(T, "conv2d", spy)
+        model.forward(images, masks, training=True, rng=derive_rng(0, "eps"))
+        depth = model.backbone.depth
+        for stage, n in enumerate(model.backbone.stage_channels):
+            res = size >> (depth - 1 - stage)
+            assert (2 * n, res, res) not in inputs, stage
+            assert (n, 3, 3) in inputs and (n, res, res) in inputs, stage
 
 
 class TestPipeline:

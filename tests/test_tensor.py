@@ -116,6 +116,22 @@ class TestStructure:
         out = T.avgpool2(T.upsample_nearest2(T.Tensor(x)))
         np.testing.assert_allclose(out.data, x, rtol=1e-7)
 
+    @pytest.mark.parametrize("h, w", [(1, 1), (2, 2), (3, 3), (5, 5), (1, 5), (5, 2), (3, 5), (2, 3)])
+    def test_stretch_middle_repeats_the_middle_row_and_column(self, h, w):
+        def index(size):
+            return [0] + [1] * (size - 2) + [2] if size > 3 else list(range(size))
+
+        rng = np.random.default_rng(20)
+        tile = rng.normal(size=(2, 3, min(h, 3), min(w, 3)))
+        out = T.stretch_middle(T.Tensor(tile), h, w)
+        np.testing.assert_array_equal(out.data, tile[:, :, index(h)][:, :, :, index(w)])
+
+    def test_stretch_middle_rejects_a_tile_of_the_wrong_size(self):
+        with pytest.raises(T.ShapeError, match="does not stretch"):
+            T.stretch_middle(T.Tensor(np.ones((1, 2, 3, 3))), 2, 5)
+        with pytest.raises(T.ShapeError):
+            T.stretch_middle(T.Tensor(np.ones((2, 3, 3))), 4, 4)
+
     def test_concat_and_narrow_roundtrip(self):
         a = T.Tensor(np.ones((1, 2, 4, 4)), requires_grad=True)
         b = T.Tensor(np.zeros((1, 3, 4, 4)))
@@ -367,6 +383,17 @@ class TestFiniteDiffCheck:
 
         assert T.finite_diff_check(f, [p]) < 1e-8
 
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (2, 2), (3, 3), (5, 5), (1, 5), (5, 2), (2, 3), (5, 3)])
+    def test_stretch_middle_fd(self, h, w):
+        rng = np.random.default_rng(11)
+        p = T.Tensor(rng.normal(size=(2, 2, min(h, 3), min(w, 3))), requires_grad=True)
+        weights = T.Tensor(rng.normal(size=(2, 2, h, w)))
+
+        def f(params):
+            return T.tsum(T.mul(T.stretch_middle(params[0], h, w), weights))
+
+        assert T.finite_diff_check(f, [p]) < 1e-8
 
     @pytest.mark.parametrize("op", [T.tsum, T.tmean])
     @pytest.mark.parametrize("axis", [None, 1, (0, 2)])

@@ -392,6 +392,12 @@ def test_gradient_check_smoke():
     assert max(errors.values()) < 1e-4
 
 
+def test_gradient_check_at_size_8_audits_the_2px_stage():
+    # the first decoder stage, and its CIBM gate, run at 2x2 here
+    errors = gradient_check(k=4, size=8, batch=2)
+    assert max(errors.values()) < 1e-4
+
+
 # -- ablation drivers --------------------------------------------------------
 
 def test_ablate_k_rows_and_determinism(tmp_path):

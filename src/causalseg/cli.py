@@ -54,14 +54,16 @@ def _int_list(text: str) -> list:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_at_least(low: int, what: str):
+    """argparse type: an integer of at least ``low``, described as ``what``."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -69,12 +71,11 @@ def _config_from_args(args) -> TrainConfig:
     return load_train_config(args.config, overrides)
 
 
-def _load_model(args, cfg: TrainConfig) -> tuple[SegModel, object]:
-    ckpt = load_checkpoint(args.checkpoint)
+def _load_model(args, cfg: TrainConfig) -> SegModel:
     model = SegModel(cfg.model_config(), cfg.seed)
     opt = SGD(model.registry, cfg.momentum, cfg.weight_decay)
-    restore_training_state(ckpt, model, opt)
-    return model, ckpt
+    restore_training_state(load_checkpoint(args.checkpoint), model, opt)
+    return model
 
 
 def cmd_generate(args):
@@ -111,7 +112,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     cfg = _config_from_args(args)
-    model, _ = _load_model(args, cfg)
+    model = _load_model(args, cfg)
     # the held-out records of the split that ``fit`` trained and reported on
     _, records = split_dataset(load_dataset(cfg), cfg.split_fraction, cfg.seed)
     per_image, mean = evaluate_model(model, records, cfg)
@@ -140,7 +141,7 @@ def cmd_ablate_modules(args):
 
 def cmd_entropy(args):
     cfg = _config_from_args(args)
-    model, _ = _load_model(args, cfg)
+    model = _load_model(args, cfg)
     records = load_dataset(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -201,7 +202,7 @@ def cmd_inspect_band(args):
     write_pgm(outdir / f"{stem}.sobel.pgm", edges / max(edges.max(), 1.0))
     emitted = ["band", "sobel"]
     if args.checkpoint:
-        model, _ = _load_model(args, cfg)
+        model = _load_model(args, cfg)
         pred = predict(model, rec.image[None], 1).astype(np.float64)
         v = uncertainty_map(Tensor(pred[:, None]), band[None, None]).data[0, 0]
         write_pgm(outdir / f"{stem}.uncertainty.pgm", v / max(v.max(), 1e-12))
@@ -215,7 +216,7 @@ def cmd_inspect_omega(args):
     if not cfg.use_cibm:
         print("model has no mixing weights (use_cibm is off)", file=sys.stderr)
         return 1
-    model, _ = _load_model(args, cfg)
+    model = _load_model(args, cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for stage, mixer in enumerate(model.pipeline.mixers):
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a synthetic confounded dataset as PGM pairs")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-samples", type=int, default=256)
+    p.add_argument("--n-samples", type=_int_at_least(0, "a count of at least 0"), default=256)
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_generate)
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--size", type=int, default=32)
-    p.add_argument("--max-probes", type=_positive_int, default=40)
+    p.add_argument("--max-probes", type=_int_at_least(1, "a positive integer"), default=40)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -4,6 +4,11 @@ Each synthetic sample is a random ellipse lesion with a three-level latent
 confounder c that both degrades the image (boundary blur proportional to c
 plus c streak artifacts) and perturbs the annotation (mask eroded or
 dilated by c - 1 pixels), so image and mask share a common cause.
+
+Augmentation applies one of the square's eight symmetries (flips and
+quarter turns).  These only permute pixels, so they keep the lesion area
+that the confounder moves, and the boundary band of a transformed mask is
+the transformed band of the mask.
 """
 
 import math
@@ -223,26 +228,18 @@ def ingest(directory) -> tuple[list, list]:
 
 # -- augmentation and splitting ----------------------------------------------
 
-def augment_pair(image: np.ndarray, mask: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Flip/rotate/crop-resize, the same transform applied to both planes."""
-    img, msk = image, mask
-    if rng.random() < 0.5:
-        img, msk = img[:, ::-1], msk[:, ::-1]
-    if rng.random() < 0.5:
-        img, msk = img[::-1, :], msk[::-1, :]
-    quarter_turns = int(rng.integers(0, 4))
-    if quarter_turns:
-        img, msk = np.rot90(img, quarter_turns), np.rot90(msk, quarter_turns)
-    size = img.shape[0]
-    scale = rng.uniform(0.8, 1.0)
-    crop = max(1, int(round(scale * size)))
-    if crop < size:
-        top = int(rng.integers(0, size - crop + 1))
-        left = int(rng.integers(0, size - crop + 1))
-        idx = np.clip(np.rint(np.arange(size) * (crop / size)).astype(int), 0, crop - 1)
-        img = img[top:top + crop, left:left + crop][np.ix_(idx, idx)]
-        msk = msk[top:top + crop, left:left + crop][np.ix_(idx, idx)]
-    return np.ascontiguousarray(img), np.ascontiguousarray(msk)
+def square_symmetry(planes: np.ndarray, k: int) -> np.ndarray:
+    """The k-th (0-7) symmetry of the square on the last two axes: k % 4
+    quarter turns, then a transpose when k >= 4."""
+    out = np.rot90(planes, k % 4, axes=(-2, -1))
+    return out.swapaxes(-2, -1) if k >= 4 else out
+
+
+def augment_batch(arrays, rng) -> list:
+    """One symmetry of the square per sample, drawn from ``rng`` and applied
+    alike to every (B, ..., H, W) array of ``arrays``."""
+    ks = rng.integers(0, 8, size=len(arrays[0]))
+    return [np.stack([square_symmetry(a[i], k) for i, k in enumerate(ks)]) for a in arrays]
 
 
 def split_dataset(records, split_fraction: float, seed: int) -> tuple[list, list]:

@@ -17,7 +17,7 @@ from . import tensor as T
 from .boundary import band_batch, usd_batch
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainConfig
-from .data import DatasetError, augment_pair, batches, generate_synthetic, ingest, split_dataset
+from .data import DatasetError, augment_batch, batches, generate_synthetic, ingest, split_dataset
 from .gsm import kl_loss
 from .losses import LossBundle, bce_loss, dice_loss, metrics, total_loss
 from .model import ForwardResult, SegModel
@@ -82,7 +82,7 @@ def load_dataset(cfg: TrainConfig) -> list:
 
 
 def _check_sizes(records, cfg: TrainConfig, source: str):
-    # batches, cached bands and evaluation stack records: one size for all
+    # the stacked train split, its quarter turns and evaluation need one square size
     for rec in records:
         if rec.image.shape != (cfg.size, cfg.size):
             h, w = rec.image.shape
@@ -127,17 +127,6 @@ class FitResult:
     history: list
     train_records: list
     test_records: list
-
-
-def _stack_batch(records, idx, cfg, rng):
-    images, masks = [], []
-    for i in idx:
-        img, msk = records[i].image, records[i].mask
-        if cfg.augment and rng is not None:
-            img, msk = augment_pair(img, msk, rng)
-        images.append(img[None])
-        masks.append(msk[None])
-    return np.stack(images).astype(np.float32), np.stack(masks).astype(np.float32)
 
 
 def predict(model: SegModel, images, batch: int) -> np.ndarray:
@@ -215,11 +204,12 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
             raise TrainingError(
                 f"checkpoint already at epoch {start_epoch} of {cfg.epochs}")
 
-    # without augmentation every step sees the stored masks, so their bands
-    # are computed once here; augmented masks get theirs in each step
-    bands = None
-    if cfg.use_gsm and not cfg.augment:
-        bands = band_batch(np.stack([rec.mask for rec in train_records])[:, None], cfg.band_width)
+    # the train split as (N,1,H,W) planes, with one band per record: the
+    # augmenting symmetries carry a mask's band to the transformed mask's band
+    planes = [np.stack([rec.image for rec in train_records])[:, None].astype(np.float32),
+              np.stack([rec.mask for rec in train_records])[:, None].astype(np.float32)]
+    if cfg.use_gsm:
+        planes.append(band_batch(planes[1], cfg.band_width))
 
     history = []
     writer = None
@@ -246,11 +236,12 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
                 steps = 0
                 for step, idx in enumerate(batches(order, cfg.batch)):
                     where = f"epoch {epoch} step {step}"
-                    images, masks = _stack_batch(train_records, idx, cfg,
-                                                 erng if cfg.augment else None)
+                    batch = [p[idx] for p in planes]
+                    if cfg.augment:
+                        batch = augment_batch(batch, erng)
+                    images, masks, *band = batch
                     result = model.forward(images, masks, training=True, rng=erng)
-                    bundle = compute_losses(result, masks, cfg,
-                                            None if bands is None else bands[idx])
+                    bundle = compute_losses(result, masks, cfg, *band)
                     model.registry.zero_grad()
                     T.backward(bundle.total)
                     opt.step(lr)

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from causalseg import boundary as B
 from causalseg import tensor as T
+from causalseg.data import square_symmetry
 
 
 def brute_sobel(mask):
@@ -109,6 +113,16 @@ class TestBoundaryBand:
     def test_width_validation(self):
         with pytest.raises(ValueError, match="width"):
             B.boundary_band(square_mask(), width=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 16).flatmap(
+        lambda n: hnp.arrays(np.uint8, (n, n), elements=st.integers(0, 1))), st.integers(1, 3))
+    def test_commutes_with_the_square_symmetries(self, mask, width):
+        # a band cached per record stays valid under augmentation
+        band = B.boundary_band(mask, width)
+        for k in range(8):
+            np.testing.assert_array_equal(B.boundary_band(square_symmetry(mask, k), width),
+                                          square_symmetry(band, k))
 
 
 def batch1(arr):

@@ -51,6 +51,11 @@ def test_generate_zero_is_not_unset(tmp_path, capsys):
     argv = ["generate", "--seed", "0", "--out", str(tmp_path / "data")]
     assert main([*argv, "--n-samples", "0", "--size", "16"]) == 0
     assert "wrote 0 image/mask pairs" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n-samples", "-3", "--size", "16"])
+    assert exc.value.code == 2
+    assert "argument --n-samples: expected a count of at least 0, got '-3'" in capsys.readouterr().err
+    assert not (tmp_path / "data" / "sample0000.img.pgm").exists()
     assert main([*argv, "--n-samples", "2", "--size", "0"]) == 2
     assert "size must be a positive multiple of 8, got 0" in capsys.readouterr().err
 

@@ -13,13 +13,14 @@ from causalseg.data import (
     DatasetError,
     PgmError,
     SampleRecord,
-    augment_pair,
+    augment_batch,
     batches,
     export_dataset,
     generate_synthetic,
     ingest,
     read_pgm,
     split_dataset,
+    square_symmetry,
     write_pgm,
 )
 from causalseg.boundary import boundary_band, sobel_magnitude
@@ -218,22 +219,49 @@ def test_ingest_binarizes_gray_masks(tmp_path):
 
 # -- augmentation ------------------------------------------------------------
 
+def _planes(n=4, size=32, seed=4):
+    records = generate_synthetic(n, size, seed=seed)
+    return [np.stack([r.image for r in records])[:, None],
+            np.stack([r.mask for r in records])[:, None]]
+
+
+def test_square_symmetry_gives_the_eight_distinct_symmetries():
+    tile = np.arange(16.0).reshape(4, 4)
+    images = {square_symmetry(tile, k).tobytes() for k in range(8)}
+    assert len(images) == 8
+    np.testing.assert_array_equal(square_symmetry(tile, 1), np.rot90(tile))
+    np.testing.assert_array_equal(square_symmetry(tile, 4), tile.T)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_augment_keeps_pairing(aug_seed):
-    rec = generate_synthetic(1, 32, seed=4)[0]
-    img, msk = augment_pair(rec.image, rec.mask, derive_rng(aug_seed, "aug"))
-    assert img.shape == rec.image.shape and msk.shape == rec.mask.shape
-    assert set(np.unique(msk)) <= {0, 1}
-    # geometry moved in lockstep: lesion pixels stay bright
-    if msk.sum() and (msk == 0).sum():
-        assert img[msk == 1].mean() > img[msk == 0].mean()
+    images, masks = _planes()
+    img, msk = augment_batch([images, masks], derive_rng(aug_seed, "aug"))
+    assert img.shape == images.shape and msk.shape == masks.shape
+    # each sample's planes moved by one symmetry, the same for both
+    for i in range(len(images)):
+        matches = [k for k in range(8) if np.array_equal(square_symmetry(masks[i], k), msk[i])
+                   and np.array_equal(square_symmetry(images[i], k), img[i])]
+        assert matches
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_augment_is_a_pixel_permutation(aug_seed):
+    images, masks = _planes()
+    img, msk = augment_batch([images, masks], derive_rng(aug_seed, "aug"))
+    for before, after in ((images, img), (masks, msk)):
+        np.testing.assert_array_equal(np.sort(after.reshape(len(after), -1), axis=1),
+                                      np.sort(before.reshape(len(before), -1), axis=1))
+    # so the lesion area, which the confounder moves, is kept
+    np.testing.assert_array_equal(msk.sum(axis=(1, 2, 3)), masks.sum(axis=(1, 2, 3)))
 
 
 def test_augment_is_rng_deterministic():
-    rec = generate_synthetic(1, 32, seed=4)[0]
-    a = augment_pair(rec.image, rec.mask, derive_rng(9, "aug"))
-    b = augment_pair(rec.image, rec.mask, derive_rng(9, "aug"))
+    planes = _planes()
+    a = augment_batch(planes, derive_rng(9, "aug"))
+    b = augment_batch(planes, derive_rng(9, "aug"))
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 

@@ -366,13 +366,13 @@ def test_boundary_bands_per_record_or_per_step(monkeypatch, augment):
 
     monkeypatch.setattr(boundary, "boundary_band", counted)
     result = fit(cfg)
-    # stored masks: one band per train record; augmented masks: one per mask per step
-    per_fit = 1 if not augment else cfg.epochs
-    assert len(calls) == per_fit * len(result.train_records)
+    # one band per train record per fit; augmentation transforms it with the mask
+    assert len(calls) == len(result.train_records)
 
 
-def test_cached_bands_give_the_same_checkpoint(tmp_path, monkeypatch):
-    cfg = TrainConfig(**TINY).validate()  # augment off, GSm on, 3 epochs
+@pytest.mark.parametrize("augment", [False, True])
+def test_cached_bands_give_the_same_checkpoint(tmp_path, monkeypatch, augment):
+    cfg = TrainConfig(**{**TINY, "augment": augment}).validate()  # GSm on, 3 epochs
     fit(cfg, checkpoint_path=tmp_path / "cached.ckpt")
     real_losses = train.compute_losses
 

@@ -93,7 +93,8 @@ def cmd_ingest_check(args):
         print(f"ERROR {path}: {message}")
     if not records and not errors:
         print(f"warning: no image/mask pairs in {args.data}")
-    print(f"{len(records)} valid pairs, {len(errors)} bad files")
+    tagged = sum(rec.confounder_tag >= 0 for rec in records)
+    print(f"{len(records)} valid pairs, {len(errors)} bad files ({tagged} with a confounder tag)")
     return 1 if errors else 0
 
 

@@ -11,6 +11,7 @@ that the confounder moves, and the boundary band of a transformed mask is
 the transformed band of the mask.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,7 @@ N_CONFOUNDER_LEVELS = 3
 
 IMG_SUFFIX = ".img.pgm"
 MASK_SUFFIX = ".mask.pgm"
+TAGS_FILE = "tags.csv"  # `stem,c` header, then one row per record with a confounder tag
 
 
 class PgmError(ValueError):
@@ -52,9 +54,8 @@ class SampleRecord:
         if self.image.shape != self.mask.shape:
             raise DatasetError(
                 f"image {self.image.shape} and mask {self.mask.shape} differ ({self.stem})")
-        values = np.unique(self.mask)
-        if not np.isin(values, (0, 1)).all():
-            raise DatasetError(f"mask must be binary, got values {values} ({self.stem})")
+        if not ((self.mask == 0) | (self.mask == 1)).all():
+            raise DatasetError(f"mask must be binary, got values {np.unique(self.mask)} ({self.stem})")
 
 
 # -- PGM (P5, 8-bit) ---------------------------------------------------------
@@ -116,66 +117,80 @@ def read_pgm(path) -> np.ndarray:
 
 # -- synthetic generation ----------------------------------------------------
 
-def _ellipse_mask(size, rng) -> np.ndarray:
-    cy, cx = rng.uniform(0.35 * size, 0.65 * size, size=2)
-    ay = rng.uniform(0.12 * size, 0.28 * size)
-    ax = rng.uniform(0.12 * size, 0.28 * size)
-    theta = rng.uniform(0.0, math.pi)
-    yy, xx = np.mgrid[0:size, 0:size]
-    dy, dx = yy - cy, xx - cx
-    u = dx * math.cos(theta) + dy * math.sin(theta)
-    v = -dx * math.sin(theta) + dy * math.cos(theta)
-    return ((u / ax) ** 2 + (v / ay) ** 2 <= 1.0).astype(np.uint8)
+GENERATE_CHUNK = 64  # samples per batched pass of generate_synthetic; bounds its temporaries
+_CROSS = np.array([[[0, 1, 0], [1, 1, 1], [0, 1, 0]]], dtype=bool)  # in-plane only
 
 
-def _boundary_points(lesion: np.ndarray) -> np.ndarray:
-    outline = lesion.astype(bool) & ~binary_erosion(lesion.astype(bool))
-    return np.argwhere(outline)
-
-
-def _draw_streak(image: np.ndarray, y0, x0, angle, rng):
-    """One bright line segment through (y0, x0), crossing the boundary."""
-    size = image.shape[0]
+def _draw_streaks(images: np.ndarray, streaks):
+    """Bright segments through (image, y0, x0, sin, cos, sign) rows, each its own
+    fancy-index add: a pixel covered twice by one segment gains once, by two twice."""
+    size = images.shape[-1]
     length = size // 2
     ts = np.arange(-length // 2, length // 2 + 1)
-    ys = np.clip(np.rint(y0 + ts * math.sin(angle)).astype(int), 0, size - 1)
-    xs = np.clip(np.rint(x0 + ts * math.cos(angle)).astype(int), 0, size - 1)
-    image[ys, xs] += STREAK_INTENSITY * (1.0 if rng.random() < 0.5 else -1.0)
+    j, y0, x0, sin, cos, sign = (np.array(col) for col in zip(*streaks))
+    ys = np.clip(np.rint(y0[:, None] + ts * sin[:, None]).astype(int), 0, size - 1)
+    xs = np.clip(np.rint(x0[:, None] + ts * cos[:, None]).astype(int), 0, size - 1)
+    for image, y, x, s in zip(j, ys, xs, sign):
+        images[image, y, x] += STREAK_INTENSITY * s
 
 
-def _perturb_mask(lesion: np.ndarray, c: int) -> np.ndarray:
-    if c == 1:
-        return lesion.copy()
-    op = binary_erosion if c == 0 else binary_dilation
-    out = op(lesion.astype(bool), structure=np.ones((3, 3), dtype=bool))
-    if not out.any():
-        return lesion.copy()
-    return out.astype(np.uint8)
+def _generate_chunk(start, m, size, seed):
+    # each stream's draws in a lone sample's order: ellipse, level, streaks, noise
+    rngs = [derive_rng(seed, "sample", i) for i in range(start, start + m)]
+    draws = []
+    for rng in rngs:
+        cy, cx = rng.uniform(0.35 * size, 0.65 * size, size=2)
+        ay, ax = rng.uniform(0.12 * size, 0.28 * size, size=2)
+        theta = rng.uniform(0.0, math.pi)
+        draws.append((cy, cx, ay, ax, math.cos(theta), math.sin(theta),
+                      rng.integers(0, N_CONFOUNDER_LEVELS)))
+    cy, cx, ay, ax, cos, sin, levels = (np.array(col)[:, None, None] for col in zip(*draws))
+    levels = levels.ravel()
+    yy, xx = np.ogrid[0:size, 0:size]
+    dy, dx = yy - cy, xx - cx
+    u = dx * cos + dy * sin
+    v = -dx * sin + dy * cos
+    inside = (u / ax) ** 2 + (v / ay) ** 2 <= 1.0
+    outlines = inside & ~binary_erosion(inside, structure=_CROSS)
+    boundary = np.split(np.argwhere(outlines)[:, 1:], np.cumsum(outlines.sum(axis=(1, 2)))[:-1])
+    streaks, noise = [], np.empty((m, size, size))
+    for j, (rng, points) in enumerate(zip(rngs, boundary)):
+        for _ in range(levels[j]):
+            y0, x0 = points[rng.integers(0, len(points))]
+            angle = rng.uniform(0.0, math.pi)
+            streaks.append((j, y0, x0, math.sin(angle), math.cos(angle),
+                            1.0 if rng.random() < 0.5 else -1.0))
+        noise[j] = rng.normal(0.0, NOISE_SIGMA, size=(size, size))
+
+    images = BACKGROUND_INTENSITY + (LESION_INTENSITY - BACKGROUND_INTENSITY) * inside.astype(np.float64)
+    for c in range(1, N_CONFOUNDER_LEVELS):
+        blurred, sigma = levels == c, BLUR_PER_LEVEL * c
+        if blurred.any():
+            images[blurred] = gaussian_filter(images[blurred], sigma=(0, sigma, sigma))
+    if streaks:
+        _draw_streaks(images, streaks)
+    images += noise
+    np.clip(images, 0.0, 1.0, out=images)
+
+    # the annotation: eroded at c=0, dilated at c=2, the lesion where that empties it
+    masks = inside.astype(np.uint8)
+    for c, op in ((0, binary_erosion), (2, binary_dilation)):
+        rows = np.flatnonzero(levels == c)
+        if len(rows):
+            out = op(inside[rows], structure=np.ones((1, 3, 3), dtype=bool))
+            kept = out.any(axis=(1, 2))
+            masks[rows[kept]] = out[kept]
+    return [SampleRecord(image=images[j], mask=masks[j], confounder_tag=int(levels[j]),
+                         stem=f"sample{start + j:04d}") for j in range(m)]
 
 
 def generate_synthetic(n: int, size: int, seed: int) -> list:
-    """n SampleRecords; sample i depends only on (seed, i)."""
+    """n SampleRecords; sample i depends only on (seed, i).  They are made
+    GENERATE_CHUNK at a time, byte for byte as if each were made alone."""
     if size % 8 or size < 8:
         raise DatasetError(f"size must be a positive multiple of 8, got {size}")
-    records = []
-    for i in range(n):
-        rng = derive_rng(seed, "sample", i)
-        lesion = _ellipse_mask(size, rng)
-        c = int(rng.integers(0, N_CONFOUNDER_LEVELS))
-
-        image = BACKGROUND_INTENSITY + (LESION_INTENSITY - BACKGROUND_INTENSITY) * lesion.astype(np.float64)
-        if c > 0:
-            image = gaussian_filter(image, sigma=BLUR_PER_LEVEL * c)
-            points = _boundary_points(lesion)
-            for _ in range(c):
-                y0, x0 = points[rng.integers(0, len(points))]
-                _draw_streak(image, float(y0), float(x0), rng.uniform(0.0, math.pi), rng)
-        image = image + rng.normal(0.0, NOISE_SIGMA, size=image.shape)
-        image = np.clip(image, 0.0, 1.0)
-
-        records.append(SampleRecord(image=image, mask=_perturb_mask(lesion, c),
-                                    confounder_tag=c, stem=f"sample{i:04d}"))
-    return records
+    return [rec for start in range(0, n, GENERATE_CHUNK)
+            for rec in _generate_chunk(start, min(GENERATE_CHUNK, n - start), size, seed)]
 
 
 # -- directory persistence ---------------------------------------------------
@@ -186,21 +201,43 @@ def export_dataset(records, outdir):
     for rec in records:
         write_pgm(outdir / f"{rec.stem}{IMG_SUFFIX}", rec.image)
         write_pgm(outdir / f"{rec.stem}{MASK_SUFFIX}", rec.mask * np.uint8(255))
+    with open(outdir / TAGS_FILE, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("stem", "c")] + [(rec.stem, rec.confounder_tag)
+                                                     for rec in records if rec.confounder_tag >= 0])
+
+
+def _read_tags(path) -> tuple[dict, list]:
+    """stem -> confounder tag from a TAGS_FILE, if there is one, and its bad lines as errors."""
+    try:
+        rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    except FileNotFoundError:
+        return {}, []
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        return {}, [(str(path), f"{TAGS_FILE}: {exc}")]
+    tags, errors = {}, []
+    for line, row in enumerate(rows, start=1):
+        if len(row) == 2 and row[1] in ("0", "1", "2"):
+            tags[row[0]] = int(row[1])
+        elif (line, row) != (1, ["stem", "c"]):
+            errors.append((str(path), f"{TAGS_FILE} line {line}: expected stem,c with c in 0, 1 "
+                                      f"or 2, got {','.join(row)!r}"))
+    return tags, errors
 
 
 def ingest(directory) -> tuple[list, list]:
     """Load paired `<stem>.img.pgm`/`<stem>.mask.pgm` files.
 
     Returns (records, errors); each error is a `(path, message)` pair and
-    bad pairs are skipped rather than aborting the scan.
+    bad pairs are skipped rather than aborting the scan.  Confounder tags
+    come from TAGS_FILE when it exists; a record it does not list keeps -1.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise DatasetError(f"{directory} is not a directory")
-    records, errors = [], []
-    img_paths = sorted(directory.glob(f"*{IMG_SUFFIX}"))
+    tags, errors = _read_tags(directory / TAGS_FILE)
+    records = []
     claimed_masks = set()
-    for img_path in img_paths:
+    for img_path in sorted(directory.glob(f"*{IMG_SUFFIX}")):
         stem = img_path.name[:-len(IMG_SUFFIX)]
         mask_path = directory / f"{stem}{MASK_SUFFIX}"
         claimed_masks.add(mask_path.name)
@@ -219,7 +256,7 @@ def ingest(directory) -> tuple[list, list]:
             continue
         records.append(SampleRecord(image=img_raw.astype(np.float64) / 255.0,
                                     mask=(mask_raw >= 128).astype(np.uint8),
-                                    confounder_tag=-1, stem=stem))
+                                    confounder_tag=tags.get(stem, -1), stem=stem))
     for mask_path in sorted(directory.glob(f"*{MASK_SUFFIX}")):
         if mask_path.name not in claimed_masks:
             errors.append((str(mask_path), "missing image pair"))

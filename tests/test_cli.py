@@ -15,7 +15,7 @@ import pytest
 import causalseg
 from causalseg.cli import _config_from_args, build_parser, main
 from causalseg.config import TrainConfig, load_train_config
-from causalseg.data import read_pgm, split_dataset, write_pgm
+from causalseg.data import generate_synthetic, ingest, read_pgm, split_dataset, write_pgm
 from causalseg.model import SegModel
 from causalseg.train import METRICS_COLUMNS, load_dataset
 
@@ -45,6 +45,26 @@ def test_generate_and_ingest_check(tmp_path, capsys):
     (data / "orphan.img.pgm").write_bytes(b"P5\n2 2\n255\n\x00\x01\x02\x03")
     assert main(["ingest-check", "--data", str(data)]) == 1
     assert "missing mask pair" in capsys.readouterr().out
+
+
+def test_generate_then_ingest_keeps_every_tag(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["generate", "--seed", "3", "--n-samples", "70",
+                 "--size", "16", "--out", str(data)]) == 0
+    records, errors = ingest(data)
+    assert errors == []
+    assert [(r.stem, r.confounder_tag) for r in records] == [
+        (r.stem, r.confounder_tag) for r in generate_synthetic(70, 16, 3)]
+
+    capsys.readouterr()
+    assert main(["ingest-check", "--data", str(data)]) == 0
+    assert "70 valid pairs, 0 bad files (70 with a confounder tag)" in capsys.readouterr().out
+    (data / "tags.csv").unlink()
+    assert main(["ingest-check", "--data", str(data)]) == 0
+    assert "70 valid pairs, 0 bad files (0 with a confounder tag)" in capsys.readouterr().out
+    (data / "tags.csv").write_text("stem,c\nsample0000,7\n")
+    assert main(["ingest-check", "--data", str(data)]) == 1
+    assert "tags.csv line 2: expected stem,c" in capsys.readouterr().out
 
 
 def test_generate_zero_is_not_unset(tmp_path, capsys):

@@ -1,15 +1,26 @@
 """Synthetic generation, PGM persistence, ingestion, augmentation, splits."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.ndimage import binary_dilation, binary_erosion, gaussian_filter
 
+from causalseg.config import TrainConfig
 from causalseg.data import (
     BACKGROUND_INTENSITY,
+    BLUR_PER_LEVEL,
+    GENERATE_CHUNK,
     IMG_SUFFIX,
     LESION_INTENSITY,
     MASK_SUFFIX,
+    N_CONFOUNDER_LEVELS,
+    NOISE_SIGMA,
+    STREAK_INTENSITY,
+    TAGS_FILE,
     DatasetError,
     PgmError,
     SampleRecord,
@@ -25,6 +36,7 @@ from causalseg.data import (
 )
 from causalseg.boundary import boundary_band, sobel_magnitude
 from causalseg.rngs import derive_rng
+from causalseg.train import load_dataset
 
 
 # -- records -----------------------------------------------------------------
@@ -39,7 +51,94 @@ def test_record_rejects_nonbinary_mask():
         SampleRecord(image=np.zeros((8, 8)), mask=np.full((8, 8), 3, dtype=np.uint8))
 
 
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    hnp.arrays(np.uint8, _SHAPES, elements=st.integers(0, 3)),
+    hnp.arrays(np.int64, _SHAPES, elements=st.integers(-2, 2)),
+    hnp.arrays(np.float64, _SHAPES, elements=st.sampled_from(
+        [0.0, -0.0, 1.0, 0.5, 1.0 + 2 ** -52, -1.0, 2.0, math.inf, math.nan])),
+    hnp.arrays(np.bool_, _SHAPES),
+))
+def test_record_mask_check_accepts_exactly_the_binary_masks(mask):
+    # the one-pass check agrees with its defining form, np.unique then np.isin
+    values = np.unique(mask)
+    if np.isin(values, (0, 1)).all():
+        SampleRecord(image=np.zeros(mask.shape), mask=mask, stem="s")
+    else:
+        with pytest.raises(DatasetError, match="binary") as exc:
+            SampleRecord(image=np.zeros(mask.shape), mask=mask, stem="s")
+        assert str(exc.value) == f"mask must be binary, got values {values} (s)"
+
+
 # -- synthetic generation ----------------------------------------------------
+
+def _reference_sample(i, size, seed):
+    """Sample i made alone, in the generator's defining per-sample form."""
+    rng = derive_rng(seed, "sample", i)
+    cy, cx = rng.uniform(0.35 * size, 0.65 * size, size=2)
+    ay = rng.uniform(0.12 * size, 0.28 * size)
+    ax = rng.uniform(0.12 * size, 0.28 * size)
+    theta = rng.uniform(0.0, math.pi)
+    yy, xx = np.mgrid[0:size, 0:size]
+    dy, dx = yy - cy, xx - cx
+    u = dx * math.cos(theta) + dy * math.sin(theta)
+    v = -dx * math.sin(theta) + dy * math.cos(theta)
+    lesion = ((u / ax) ** 2 + (v / ay) ** 2 <= 1.0).astype(np.uint8)
+    c = int(rng.integers(0, N_CONFOUNDER_LEVELS))
+
+    image = BACKGROUND_INTENSITY + (LESION_INTENSITY - BACKGROUND_INTENSITY) * lesion.astype(np.float64)
+    if c > 0:
+        image = gaussian_filter(image, sigma=BLUR_PER_LEVEL * c)
+        points = np.argwhere(lesion.astype(bool) & ~binary_erosion(lesion.astype(bool)))
+        for _ in range(c):
+            y0, x0 = points[rng.integers(0, len(points))]
+            angle = rng.uniform(0.0, math.pi)
+            length = size // 2
+            ts = np.arange(-length // 2, length // 2 + 1)
+            ys = np.clip(np.rint(float(y0) + ts * math.sin(angle)).astype(int), 0, size - 1)
+            xs = np.clip(np.rint(float(x0) + ts * math.cos(angle)).astype(int), 0, size - 1)
+            image[ys, xs] += STREAK_INTENSITY * (1.0 if rng.random() < 0.5 else -1.0)
+    image = np.clip(image + rng.normal(0.0, NOISE_SIGMA, size=image.shape), 0.0, 1.0)
+
+    mask = lesion.copy()
+    if c != 1:
+        op = binary_erosion if c == 0 else binary_dilation
+        out = op(lesion.astype(bool), structure=np.ones((3, 3), dtype=bool))
+        if out.any():
+            mask = out.astype(np.uint8)
+    return SampleRecord(image=image, mask=mask, confounder_tag=c, stem=f"sample{i:04d}")
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.stem, g.confounder_tag) == (w.stem, w.confounder_tag)
+        for a, b in ((g.image, w.image), (g.mask, w.mask)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), g.stem
+            assert a.tobytes() == b.tobytes(), g.stem
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("size", [8, 16, 32, 64])
+def test_generation_is_byte_identical_to_per_sample_reference(size, seed):
+    reference = [_reference_sample(i, size, seed) for i in range(256)]
+    assert {r.confounder_tag for r in reference} == {0, 1, 2}
+    for n in (0, 1, GENERATE_CHUNK - 1, GENERATE_CHUNK, GENERATE_CHUNK + 3, 256):
+        _assert_same_records(generate_synthetic(n, size, seed), reference[:n])
+
+
+def test_generation_prefix_stable_across_chunk_boundary():
+    long = generate_synthetic(2 * GENERATE_CHUNK + 5, 16, seed=9)
+    for n in (GENERATE_CHUNK - 1, GENERATE_CHUNK + 1, GENERATE_CHUNK + 3):
+        _assert_same_records(generate_synthetic(n, 16, seed=9), long[:n])
+
+
+def test_generation_of_zero_samples_is_empty():
+    assert generate_synthetic(0, 32, seed=0) == []
+
 
 def test_generation_is_deterministic():
     a = generate_synthetic(6, 32, seed=7)
@@ -176,7 +275,60 @@ def test_export_ingest_round_trip(tmp_path):
         got = by_stem[orig.stem]
         np.testing.assert_array_equal(got.mask, orig.mask)
         assert np.abs(got.image - orig.image).max() <= 0.5 / 255.0 + 1e-12
-        assert got.confounder_tag == -1
+        assert got.confounder_tag == orig.confounder_tag
+
+
+def test_ingest_without_tags_file_leaves_tags_unknown(tmp_path):
+    export_dataset(generate_synthetic(4, 16, seed=2), tmp_path)
+    (tmp_path / TAGS_FILE).unlink()
+    back, errors = ingest(tmp_path)
+    assert errors == [] and len(back) == 4
+    assert {r.confounder_tag for r in back} == {-1}
+
+
+def test_tags_file_lists_only_tagged_records(tmp_path):
+    records = generate_synthetic(3, 16, seed=2)
+    records[1].confounder_tag = -1
+    export_dataset(records, tmp_path)
+    assert (tmp_path / TAGS_FILE).read_text().splitlines() == [
+        "stem,c", f"sample0000,{records[0].confounder_tag}", f"sample0002,{records[2].confounder_tag}"]
+    back, errors = ingest(tmp_path)
+    assert errors == []
+    assert [r.confounder_tag for r in back] == [r.confounder_tag for r in records]
+
+
+def test_ingest_reports_malformed_tag_rows(tmp_path):
+    export_dataset(generate_synthetic(4, 16, seed=2), tmp_path)
+    (tmp_path / TAGS_FILE).write_text(
+        "stem,c\nsample0000,2\nsample0001,3\nsample0002\nsample0003,x\n")
+    back, errors = ingest(tmp_path)
+    assert [r.confounder_tag for r in back] == [2, -1, -1, -1]
+    assert [path.rsplit("/", 1)[-1] for path, _ in errors] == [TAGS_FILE] * 3
+    assert [msg.split(":")[0] for _, msg in errors] == [
+        f"{TAGS_FILE} line {n}" for n in (3, 4, 5)]
+    assert "got 'sample0001,3'" in errors[0][1]
+    # so training on the directory stops with a named error
+    cfg = TrainConfig(data=str(tmp_path), size=16, n_samples=4)
+    with pytest.raises(DatasetError, match=f"{TAGS_FILE} line 3"):
+        load_dataset(cfg)
+
+
+@pytest.mark.parametrize("text, line", [("name,c\nsample0000,1\n", 1), ("stem,c\n\n", 2),
+                                         ("stem,c\nsample0000,1,0\n", 2),
+                                         ("stem,c\nstem,c\n", 2)])
+def test_ingest_rejects_bad_tag_lines(tmp_path, text, line):
+    export_dataset(generate_synthetic(1, 16, seed=2), tmp_path)
+    (tmp_path / TAGS_FILE).write_text(text)
+    _, errors = ingest(tmp_path)
+    assert len(errors) == 1 and errors[0][1].startswith(f"{TAGS_FILE} line {line}:")
+
+
+def test_ingest_reports_unreadable_tags_file(tmp_path):
+    export_dataset(generate_synthetic(1, 16, seed=2), tmp_path)
+    (tmp_path / TAGS_FILE).write_bytes(b"stem,c\n\xff\xfe,1\n")
+    back, errors = ingest(tmp_path)
+    assert len(back) == 1 and back[0].confounder_tag == -1
+    assert len(errors) == 1 and errors[0][1].startswith(f"{TAGS_FILE}:")
 
 
 def test_ingest_reports_unpaired_and_corrupt(tmp_path):

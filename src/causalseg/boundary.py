@@ -1,12 +1,12 @@
 """Sobel boundary bands and the uncertainty-weighted boundary loss.
 
 The band is the Chebyshev dilation (radius w) of the ground-truth mask's
-Sobel edge pixels; ``boundary_band`` returns the boolean band of one 2-d
-mask and ``band_batch`` stacks them for a (B,1,H,W) batch.  The loss and
-the uncertainty map work on (B,1,H,W) batches: on band pixels the loss is
-a cross-entropy weighted by (1 + V_i), where V_i is the squared deviation
-of each prediction from its image's band-mean prediction.  V is
-differentiable through the predictions.
+Sobel edge pixels; ``boundary_band`` returns the boolean band of every
+(H,W) plane of a (..., H, W) mask stack.  The loss and the uncertainty map
+work on (B,1,H,W) batches: on band pixels the loss is a cross-entropy
+weighted by (1 + V_i), where V_i is the squared deviation of each
+prediction from its image's band-mean prediction.  V is differentiable
+through the predictions.
 """
 
 import numpy as np
@@ -19,37 +19,39 @@ SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 SOBEL_Y = SOBEL_X.T
 
 
-def _correlate3(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # valid-mode correlation; the 1-px output border (where no full 3x3
-    # window fits) is defined as zero so constant masks have no edges
-    out = np.zeros_like(mask)
-    win = np.lib.stride_tricks.sliding_window_view(mask, (3, 3))
-    out[1:-1, 1:-1] = np.einsum("ijkl,kl->ij", win, kernel)
+def _correlate3(masks: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    # valid-mode correlation per (H,W) plane; the 1-px output border (where
+    # no full 3x3 window fits) is defined as zero so constant masks have no edges
+    out = np.zeros_like(masks)
+    win = np.lib.stride_tricks.sliding_window_view(masks, (3, 3), axis=(-2, -1))
+    np.einsum("...ijkl,kl->...ij", win, kernel, out=out[..., 1:-1, 1:-1])
     return out
 
 
-def sobel_magnitude(mask: np.ndarray) -> np.ndarray:
-    """sqrt(Gx^2 + Gy^2) with the standard 3x3 Sobel kernels.
+def sobel_magnitude(masks: np.ndarray) -> np.ndarray:
+    """sqrt(Gx^2 + Gy^2) of each (H,W) plane, with the standard 3x3 Sobel kernels.
 
     The response is computed where the full window fits and is zero on the
     image border, so uniform masks produce an identically zero map.
     """
-    m = np.asarray(mask, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 3 or m.shape[1] < 3:
-        raise T.ShapeError(f"sobel_magnitude needs a 2-d mask of at least 3x3, got {m.shape}")
-    gx = _correlate3(m, SOBEL_X)
-    gy = _correlate3(m, SOBEL_Y)
-    return np.sqrt(gx * gx + gy * gy)
+    m = np.asarray(masks, dtype=np.float64)
+    if m.ndim < 2 or m.shape[-2] < 3 or m.shape[-1] < 3:
+        raise T.ShapeError(f"sobel_magnitude needs masks of at least 3x3, got {m.shape}")
+    # in place: a whole split's float64 temporaries would set a fit's peak memory
+    gx, gy = _correlate3(m, SOBEL_X), _correlate3(m, SOBEL_Y)
+    return np.sqrt(np.add(np.square(gx, out=gx), np.square(gy, out=gy), out=gx), out=gx)
 
 
-def boundary_band(mask: np.ndarray, width: int = 2) -> np.ndarray:
-    """Boolean H x W band: the Sobel edge set dilated by a Chebyshev radius
-    ``width``.  A uniform mask (no edges) yields an empty band.
+def boundary_band(masks: np.ndarray, width: int = 2) -> np.ndarray:
+    """Boolean (..., H, W) bands of a (..., H, W) mask stack: each plane's
+    Sobel edge set dilated by a Chebyshev radius ``width``.  A uniform mask
+    (no edges) yields an empty band.
     """
     if width < 1:
         raise ValueError(f"band width must be >= 1, got {width}")
+    edges = sobel_magnitude(masks) > 0
     size = 2 * width + 1
-    return binary_dilation(sobel_magnitude(mask) > 0, structure=np.ones((size, size), dtype=bool))
+    return binary_dilation(edges, structure=np.ones((1,) * (edges.ndim - 2) + (size, size), bool))
 
 
 def _band_sizes(band: np.ndarray, dtype) -> T.Tensor:
@@ -86,18 +88,13 @@ def usd_loss(pred: T.Tensor, truth: np.ndarray, band: np.ndarray, v: T.Tensor) -
     return T.tmean(per_image)
 
 
-def band_batch(masks: np.ndarray, width: int = 2) -> np.ndarray:
-    """(B,1,H,W) 0/1 band membership of a (B,1,H,W) mask batch, one band per mask."""
-    return np.stack([boundary_band(m[0], width) for m in masks])[:, None]
-
-
 def usd_batch(pred: T.Tensor, masks: np.ndarray, width: int = 2,
               band: np.ndarray | None = None) -> T.Tensor:
     """USD loss of a (B,1,H,W) batch against its masks.
 
-    ``band`` is the masks' ``band_batch`` when the caller already has it;
+    ``band`` is the masks' ``boundary_band`` when the caller already has it;
     without it the bands are computed here.
     """
     if band is None:
-        band = band_batch(masks, width)
+        band = boundary_band(masks, width)
     return usd_loss(pred, masks, band, uncertainty_map(pred, band))

@@ -33,10 +33,7 @@ class ModelConfig:
     use_cibm: bool = True
 
     def canonical(self) -> str:
-        # the backbone channels stay in the text so hashes match older checkpoints
-        ch = ",".join(str(c) for c in BACKBONE_CHANNELS)
-        return (f"k={self.k};size={self.size};channels={ch};"
-                f"gsm={int(self.use_gsm)};cibm={int(self.use_cibm)}")
+        return f"k={self.k};size={self.size};gsm={int(self.use_gsm)};cibm={int(self.use_cibm)}"
 
     def config_hash(self) -> bytes:
         return hashlib.sha256(self.canonical().encode()).digest()

@@ -196,7 +196,10 @@ def generate_synthetic(n: int, size: int, seed: int) -> list:
 # -- directory persistence ---------------------------------------------------
 
 def export_dataset(records, outdir):
-    outdir = Path(outdir)
+    outdir = Path(outdir)  # must hold no dataset yet: ingest would mix the two silently
+    if any(p.exists() for p in [*outdir.glob(f"*{IMG_SUFFIX}"), *outdir.glob(f"*{MASK_SUFFIX}"),
+                                outdir / TAGS_FILE]):
+        raise DatasetError(f"{outdir} already holds a dataset; export into a new directory")
     outdir.mkdir(parents=True, exist_ok=True)
     for rec in records:
         write_pgm(outdir / f"{rec.stem}{IMG_SUFFIX}", rec.image)

@@ -138,9 +138,9 @@ def _unary(a: Tensor, out_data, da) -> Tensor:
     return out
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str):
+def _broadcast(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
@@ -148,27 +148,21 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str):
 # -- elementwise -----------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
+    return _binary(a, b, _broadcast("add", np.add, a, b), lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
+    return _binary(a, b, _broadcast("sub", np.subtract, a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
+    return _binary(a, b, _broadcast("mul", np.multiply, a, b),
+                   lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "div")
-    return _binary(
-        a, b, a.data / b.data,
-        lambda g: g / b.data,
-        lambda g: -g * a.data / (b.data * b.data),
-    )
+    return _binary(a, b, _broadcast("div", np.divide, a, b),
+                   lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
 
 
 def neg(a: Tensor) -> Tensor:

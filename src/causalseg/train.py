@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
-from .boundary import band_batch, usd_batch
+from . import boundary, tensor as T
+from .boundary import usd_batch
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .data import DatasetError, augment_batch, batches, generate_synthetic, ingest, split_dataset
@@ -209,7 +209,7 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
     planes = [np.stack([rec.image for rec in train_records])[:, None].astype(np.float32),
               np.stack([rec.mask for rec in train_records])[:, None].astype(np.float32)]
     if cfg.use_gsm:
-        planes.append(band_batch(planes[1], cfg.band_width))
+        planes.append(boundary.boundary_band(planes[1], cfg.band_width))
 
     history = []
     writer = None

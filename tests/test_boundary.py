@@ -124,6 +124,18 @@ class TestBoundaryBand:
             np.testing.assert_array_equal(B.boundary_band(square_symmetry(mask, k), width),
                                           square_symmetry(band, k))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(3, 12), st.integers(3, 12))
+           .flatmap(lambda shape: hnp.arrays(np.uint8, shape, elements=st.integers(0, 1))),
+           st.integers(1, 3))
+    def test_a_stack_is_banded_plane_by_plane(self, masks, width):
+        # one call over a (B,C,H,W) stack gives each plane's own band and Sobel map, bit for bit
+        bands, edges = B.boundary_band(masks, width), B.sobel_magnitude(masks)
+        assert bands.shape == masks.shape and bands.dtype == bool
+        for index in np.ndindex(masks.shape[:2]):
+            np.testing.assert_array_equal(bands[index], B.boundary_band(masks[index], width))
+            assert edges[index].tobytes() == B.sobel_magnitude(masks[index]).tobytes()
+
 
 def batch1(arr):
     """A single H x W plane as a (1,1,H,W) batch."""

@@ -1,22 +1,18 @@
-"""Binary checkpoint format: round trips, header checks, truncation."""
+"""The .npz checkpoint format: round trips, header checks, corruption, truncation."""
 
 import gc
+import io
 import os
 import struct
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalseg.checkpoint import (
-    HASH_BYTES,
-    MAGIC,
-    CheckpointError,
-    load_checkpoint,
-    save_checkpoint,
-)
+from causalseg.checkpoint import HASH_BYTES, CheckpointError, load_checkpoint, save_checkpoint
 from causalseg.rngs import derive_rng
 
 HASH = bytes(range(HASH_BYTES))
@@ -64,57 +60,49 @@ def test_save_is_deterministic(tmp_path):
 
 
 def test_rejects_bad_magic(tmp_path):
+    # a file in the old MAMBO1 format, a zip whose signature is damaged, and garbage
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, _arrays(), k=16, config_hash=HASH)
-    raw = bytearray(path.read_bytes())
-    raw[:2] = b"XX"
-    path.write_bytes(raw)
-    with pytest.raises(CheckpointError, match="bad magic"):
-        load_checkpoint(path)
-
-
-def test_rejects_unknown_version(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, _arrays(), k=16, config_hash=HASH)
-    raw = bytearray(path.read_bytes())
-    raw[len(MAGIC)] = 99
-    path.write_bytes(raw)
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(path)
+    damaged = b"XX" + path.read_bytes()[2:]
+    mambo1 = (b"MAMBO1" + struct.pack("<II", 1, 4) + HASH + struct.pack("<I", 1) + b"w"
+              + struct.pack("<BBI", 0, 1, 1) + np.float32(1.0).tobytes())
+    for raw, match in [(mambo1, "MAMBO1"), (damaged, "enc.w.npy' is damaged"),
+                       (b"not a checkpoint", "not a zip")]:
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError, match=match) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
 
 
 def test_truncation_never_crashes(tmp_path):
-    # The record stream carries no count, so a cut exactly at a record
-    # boundary reads as a shorter valid file; any other cut must raise.
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _arrays(), k=16, config_hash=HASH)
+    raw = path.read_bytes()
+    stub = tmp_path / "stub.ckpt"
+    for cut in range(len(raw)):
+        stub.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(stub)
+
+
+def test_single_bit_flip_in_a_payload_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     arrays = _arrays()
     save_checkpoint(path, arrays, k=16, config_hash=HASH)
-    raw = path.read_bytes()
-    stub = tmp_path / "stub.ckpt"
-    raised = clean = 0
-    for cut in range(len(raw)):
-        stub.write_bytes(raw[:cut])
-        try:
-            ckpt = load_checkpoint(stub)
-        except CheckpointError:
-            raised += 1
-        else:
-            clean += 1
-            assert len(ckpt.arrays) < len(arrays)
-    assert raised > clean  # boundary cuts are rare; most positions raise
-    assert clean == len(arrays)  # header end + each record boundary but EOF
+    raw = bytearray(path.read_bytes())
+    raw[raw.find(arrays["enc.w"].tobytes()) + 5] ^= 0x10
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match="'enc.w.npy' is damaged"):
+        load_checkpoint(path)
 
 
 def test_rejects_unknown_dtype_code(tmp_path):
+    # an int32 array, and a member that is no npy array at all (np.load returns its bytes)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {"x": np.zeros(2, dtype=np.float32)}, k=4, config_hash=HASH)
-    raw = bytearray(path.read_bytes())
-    # dtype code byte sits right after the 4-byte name length + 1-byte name
-    offset = len(MAGIC) + 8 + HASH_BYTES + 4 + 1
-    raw[offset] = 250
-    path.write_bytes(raw)
-    with pytest.raises(CheckpointError, match="dtype code"):
-        load_checkpoint(path)
+    for member in [("x.npy", _npy((2,), "<i4", bytes(8))), ("x", b"text")]:
+        path.write_bytes(_archive([member]))
+        with pytest.raises(CheckpointError, match="x: not a float32 or float64 array"):
+            load_checkpoint(path)
 
 
 def test_save_rejects_unsupported_dtype(tmp_path):
@@ -140,6 +128,15 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failur
     assert path.read_bytes() == before
     assert load_checkpoint(path).arrays.keys() == _arrays().keys()
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.mark.parametrize("name", ["meta.k", "meta.config_hash", "file", "allow_pickle"])
+def test_save_rejects_reserved_meta_names(tmp_path, name):
+    # np.savez would drop an array named allow_pickle, and fail on one named file
+    with pytest.raises(CheckpointError, match=f"{name}: name reserved"):
+        save_checkpoint(tmp_path / "x.ckpt", {name: np.zeros(2, dtype=np.float32)},
+                        k=4, config_hash=HASH)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_rejects_short_hash(tmp_path):
@@ -172,35 +169,94 @@ def test_load_closes_its_file(tmp_path):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
-def _record(name: bytes, value: float) -> bytes:
-    return struct.pack("<I", len(name)) + name + struct.pack("<BBI", 0, 1, 1) + \
-        np.float32(value).tobytes()
-
-
-def _header() -> bytes:
-    return MAGIC + struct.pack("<II", 1, 4) + HASH
-
-
-def test_rejects_non_utf8_name(tmp_path):
+def test_numpy_reads_a_checkpoint(tmp_path):
     path = tmp_path / "model.ckpt"
-    path.write_bytes(_header() + _record(b"\xff\xfe", 1.0))
-    with pytest.raises(CheckpointError, match="UTF-8"):
+    arrays = _arrays()
+    save_checkpoint(path, arrays, k=16, config_hash=HASH)
+    with np.load(path) as npz:
+        assert npz.files == [*arrays, "meta.k", "meta.config_hash"]
+        assert int(npz["meta.k"]) == 16 and npz["meta.config_hash"].tobytes() == HASH
+        assert npz["enc.w"].tobytes() == arrays["enc.w"].tobytes()
+
+
+def _npy(shape, descr="<f4", payload=b"") -> bytes:
+    """An npy member whose header declares ``shape`` and ``descr`` over ``payload``."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": descr, "fortran_order": False, "shape": shape})
+    return buf.getvalue() + payload
+
+
+K4 = ("meta.k.npy", _npy((), "<i8", np.int64(4).tobytes()))
+HASH_MEMBER = ("meta.config_hash.npy", _npy((HASH_BYTES,), "|u1", HASH))
+
+
+def _archive(members, meta=(K4, HASH_MEMBER)) -> bytes:
+    """A zip of ``members`` and then ``meta``, every CRC correct."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as archive:
+        for name, data in [*members, *meta]:
+            archive.writestr(name, data)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("field, value", [("method", 8), ("method", 12), ("method", 14),
+                                          ("method", 99), ("flags", 1)],
+                         ids=["deflate", "bzip2", "lzma", "unknown method", "encrypted"])
+def test_rejects_a_member_marked_compressed_or_encrypted(tmp_path, field, value):
+    # zipfile then runs a decompressor over bytes that are no such stream (zlib, OSError,
+    # LZMAError), finds no decompressor, or asks for a password
+    raw = bytearray(_archive([("w.npy", b"\xff" * 70000)]))
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        central = archive.start_dir  # the first member's local header is at 0
+    local_offset, central_offset = {"method": (8, 10), "flags": (6, 8)}[field]
+    raw[local_offset] = raw[central + central_offset] = value
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        load_checkpoint(path)
+
+
+def test_rejects_a_member_recorded_longer_than_the_file(tmp_path):
+    raw = bytearray(_archive([("w.npy", _npy((1,), "<f4", bytes(4)))]))
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        central = archive.start_dir  # the first member's local header is at 0
+    size = struct.pack("<I", len(raw) + 100)
+    raw[18:22] = raw[22:26] = raw[central + 20:central + 24] = raw[central + 24:central + 28] = size
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
         load_checkpoint(path)
 
 
 def test_rejects_duplicate_name(tmp_path):
     path = tmp_path / "model.ckpt"
-    path.write_bytes(_header() + _record(b"w", 1.0) + _record(b"w", 2.0))
-    with pytest.raises(CheckpointError, match="duplicate array name 'w'"):
+    with pytest.warns(UserWarning, match="Duplicate name"):
+        raw = _archive([("w.npy", _npy((1,), "<f4", bytes(4)))] * 2)
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match="duplicate member names"):
         load_checkpoint(path)
 
 
-def test_dims_whose_product_wraps_int64_read_as_truncated(tmp_path):
-    # 2^21 * 2^21 * 2^22 = 2^64 elements: an int64 product would wrap to 0
+@pytest.mark.parametrize("shape", [(0, 2**31, 2**31), (2**21, 2**21, 2**22), (2**43,)],
+                         ids=["zero times 2^62", "product wraps int64", "more than it holds"])
+def test_rejects_member_with_impossible_dims(tmp_path, shape):
     path = tmp_path / "model.ckpt"
-    path.write_bytes(_header() + struct.pack("<I", 1) + b"w" + struct.pack("<BB", 0, 3)
-                     + struct.pack("<3I", 2**21, 2**21, 2**22))
-    with pytest.raises(CheckpointError, match="truncated"):
+    path.write_bytes(_archive([("w.npy", _npy(shape))]))
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("meta, match", [
+    ([HASH_MEMBER], "missing or malformed meta.k"),
+    ([("meta.k.npy", _npy((), "<f8", bytes(8))), HASH_MEMBER], "malformed meta.k"),
+    ([K4, ("meta.config_hash.npy", _npy((HASH_BYTES - 1,), "|u1", HASH[1:]))],
+     "malformed meta.config_hash"),
+], ids=["missing k", "float k", "short hash"])
+def test_rejects_missing_or_malformed_header(tmp_path, meta, match):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_archive([("w.npy", _npy((1,), "<f4", bytes(4)))], meta))
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
 
 

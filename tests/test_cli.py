@@ -67,6 +67,17 @@ def test_generate_then_ingest_keeps_every_tag(tmp_path, capsys):
     assert "tags.csv line 2: expected stem,c" in capsys.readouterr().out
 
 
+def test_generate_into_a_dataset_directory_is_refused(tmp_path, capsys):
+    data = tmp_path / "data"
+    argv = ["generate", "--n-samples", "3", "--size", "16", "--out", str(data)]
+    assert main([*argv, "--seed", "0"]) == 0
+    before = {p.name: p.read_bytes() for p in data.iterdir()}
+    capsys.readouterr()
+    assert main([*argv, "--seed", "1"]) == 2
+    assert f"error: {data} already holds a dataset" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == before
+
+
 def test_generate_zero_is_not_unset(tmp_path, capsys):
     argv = ["generate", "--seed", "0", "--out", str(tmp_path / "data")]
     assert main([*argv, "--n-samples", "0", "--size", "16"]) == 0
@@ -127,6 +138,14 @@ def test_evaluate_rejects_wrong_architecture(run_dir, capsys):
                  *TINY, "--k", "8"])
     assert code == 2
     assert "does not match" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_a_mambo1_checkpoint(tmp_path, capsys):
+    old = tmp_path / "model.ckpt"
+    old.write_bytes(b"MAMBO1" + bytes(40))
+    code = main(["evaluate", "--seed", "0", "--checkpoint", str(old), *TINY])
+    assert code == 2
+    assert f"error: cannot read checkpoint {old}: a MAMBO1 checkpoint" in capsys.readouterr().err
 
 
 def test_evaluate_requires_seed(run_dir, capsys):

@@ -94,7 +94,7 @@ def test_validate_returns_self():
 
 def test_canonical_string_covers_architecture():
     cfg = ModelConfig(k=16, size=32, use_gsm=False, use_cibm=True)
-    assert cfg.canonical() == "k=16;size=32;channels=8,16,32;gsm=0;cibm=1"
+    assert cfg.canonical() == "k=16;size=32;gsm=0;cibm=1"
 
 
 def test_hash_distinguishes_architectures():

@@ -358,16 +358,16 @@ def test_load_dataset_rejects_bad_directory(tmp_path):
 def test_boundary_bands_per_record_or_per_step(monkeypatch, augment):
     cfg = TrainConfig(**{**TINY, "augment": augment}).validate()
     real_band = boundary.boundary_band
-    calls = []
+    banded = []
 
-    def counted(mask, width=2):
-        calls.append(mask.shape)
-        return real_band(mask, width)
+    def counted(masks, width=2):
+        banded.append(int(np.prod(masks.shape[:-2])))
+        return real_band(masks, width)
 
     monkeypatch.setattr(boundary, "boundary_band", counted)
     result = fit(cfg)
     # one band per train record per fit; augmentation transforms it with the mask
-    assert len(calls) == len(result.train_records)
+    assert sum(banded) == len(result.train_records)
 
 
 @pytest.mark.parametrize("augment", [False, True])

@@ -24,8 +24,8 @@ from .data import (DatasetError, PgmError, export_dataset, generate_synthetic, i
 from .losses import entropy_map
 from .model import SegModel
 from .tensor import Tensor
-from .train import (SGD, TrainingError, ablate_k, ablate_modules, evaluate_model, fit,
-                    gradient_check, load_dataset, predict, restore_training_state, write_rows)
+from .train import (METRIC_NAMES, SGD, TrainingError, ablate_k, ablate_modules, evaluate_model,
+                    fit, gradient_check, load_dataset, predict, restore_training_state, write_rows)
 
 
 def _add_config_flags(parser, require_seed=False):
@@ -117,8 +117,7 @@ def cmd_evaluate(args):
     # the held-out records of the split that ``fit`` trained and reported on
     _, records = split_dataset(load_dataset(cfg), cfg.split_fraction, cfg.seed)
     per_image, mean = evaluate_model(model, records, cfg)
-    rows = [{"stem": rec.stem or str(i), "dice": m.dice, "iou": m.iou,
-             "fdr": m.fdr, "auc": m.auc}
+    rows = [{"stem": rec.stem or str(i), **{name: getattr(m, name) for name in METRIC_NAMES}}
             for i, (rec, m) in enumerate(zip(records, per_image))]
     if args.out:
         write_rows(args.out, [*rows, {"stem": "mean", **mean}])
@@ -314,7 +313,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CheckpointError, ConfigError, DatasetError, PgmError, SCMError,
+    except (CheckpointError, ConfigError, DatasetError, OSError, PgmError, SCMError,
             TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

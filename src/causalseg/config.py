@@ -115,12 +115,20 @@ def parse_config_lines(lines) -> dict:
     return pairs
 
 
+def _read_config(path) -> dict:
+    """The `key = value` pairs of a config file; ConfigError if unreadable."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_config_lines(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+
+
 def load_train_config(path, overrides=None) -> TrainConfig:
     types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     values = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            pairs = parse_config_lines(fh)
+        pairs = _read_config(path)
         unknown = sorted(set(pairs) - set(types))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -135,8 +143,7 @@ def load_scm_config(path) -> DiscreteSCM:
 
     Keys: `c` for P(C); `x_given_c<j>` rows; `y_given_x<i>_c<j>` rows.
     """
-    with open(path, encoding="utf-8") as fh:
-        pairs = parse_config_lines(fh)
+    pairs = _read_config(path)
 
     def row(key):
         try:

@@ -1,6 +1,5 @@
-"""Segmentation losses, the combined objective, and evaluation metrics.
+"""Segmentation losses and evaluation metrics.
 
-The objective is the unweighted sum total = (usd + kl) + bce + dice.
 Metrics are batch-first: per image of an (N, ...) batch, pixel-level
 Dice/IoU/FDR at threshold 0.5 plus the Mann-Whitney AUC with ties counting
 one half; entropy maps give per-pixel binary entropy of the predicted
@@ -15,22 +14,6 @@ from . import tensor as T
 
 PROB_EPS = 1e-7
 DICE_SMOOTH = 1e-6
-
-
-@dataclass
-class LossBundle:
-    """gaus = usd + kl and total = gaus + bce + dice hold exactly."""
-
-    bce: T.Tensor
-    dice: T.Tensor
-    kl: T.Tensor
-    usd: T.Tensor
-    gaus: T.Tensor
-    total: T.Tensor
-
-    def values(self) -> dict:
-        return {name: getattr(self, name).item()
-                for name in ("bce", "dice", "kl", "usd", "gaus", "total")}
 
 
 @dataclass
@@ -91,21 +74,6 @@ def dice_loss(pred: T.Tensor, truth) -> T.Tensor:
     num = T.add(T.mul(two, inter), smooth)
     den = T.add(T.add(T.tsum(y, axis=1), T.tsum(pred, axis=1)), smooth)
     return T.sub(T.Tensor(np.asarray(1.0, dtype=dtype)), T.tmean(T.div(num, den)))
-
-
-def total_loss(bce, dice, kl=None, usd=None) -> LossBundle:
-    """Assemble the unweighted bundle; rejects non-finite parts by name."""
-    dtype = bce.data.dtype if isinstance(bce, T.Tensor) else np.float32
-    zero = T.Tensor(np.asarray(0.0, dtype=dtype))
-    parts = {"bce": bce, "dice": dice, "kl": kl if kl is not None else zero,
-             "usd": usd if usd is not None else zero}
-    for name, part in parts.items():
-        if not np.isfinite(part.data).all():
-            raise T.NonFiniteError(f"loss part {name!r} is non-finite")
-    gaus = T.add(parts["usd"], parts["kl"])
-    total = T.add(T.add(gaus, parts["bce"]), parts["dice"])
-    return LossBundle(bce=parts["bce"], dice=parts["dice"], kl=parts["kl"],
-                      usd=parts["usd"], gaus=gaus, total=total)
 
 
 def _rows(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ class Tensor:
             data = data.data
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64 if arr.dtype == np.float64 else np.float32)
+            arr = arr.astype(np.float32)
         self.data = arr
         self.grad = None
         self.requires_grad = requires_grad

@@ -9,6 +9,7 @@ replays the exact run an uninterrupted training would have produced.
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,13 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .data import DatasetError, augment_batch, batches, generate_synthetic, ingest, split_dataset
 from .gsm import kl_loss
-from .losses import LossBundle, bce_loss, dice_loss, metrics, total_loss
+from .losses import bce_loss, dice_loss, metrics
 from .model import ForwardResult, SegModel
 from .rngs import derive_rng
 
-METRICS_COLUMNS = ("epoch", "loss_total", "loss_bce", "loss_dice",
-                   "loss_kl", "loss_usd", "dice", "iou", "fdr", "auc")
+LOSS_PARTS = ("total", "bce", "dice", "kl", "usd")
+METRIC_NAMES = ("dice", "iou", "fdr", "auc")
+METRICS_COLUMNS = ("epoch", *(f"loss_{name}" for name in LOSS_PARTS), *METRIC_NAMES)
 
 
 class TrainingError(RuntimeError):
@@ -90,21 +92,27 @@ def _check_sizes(records, cfg: TrainConfig, source: str):
 
 
 def compute_losses(result: ForwardResult, masks: np.ndarray, cfg: TrainConfig,
-                   band: np.ndarray | None = None) -> LossBundle:
-    """bce + dice always; the usd + kl pair only when the GSm branch is on.
+                   band: np.ndarray | None = None) -> dict:
+    """The training objective as named scalar Tensors: bce and dice always,
+    kl and usd only when the GSm branch gives them, and their unweighted sum
+    total = (usd + kl) + bce + dice, added in that order.
 
-    ``band`` is the masks' (B,1,H,W) boundary band if already computed.
+    ``band`` is the masks' (B,1,H,W) boundary band if already computed.  A
+    non-finite part raises NonFiniteError naming it.
     """
     masks4 = masks if masks.ndim == 4 else masks[:, None]
     truth = masks4.astype(result.pred.data.dtype)
-    bce = bce_loss(result.pred, truth)
-    dice = dice_loss(result.pred, truth)
-    kl = usd = None
+    parts = {"bce": bce_loss(result.pred, truth), "dice": dice_loss(result.pred, truth)}
     if result.posterior is not None:
-        kl = kl_loss(result.prior, result.posterior)
+        parts["kl"] = kl_loss(result.prior, result.posterior)
     if cfg.use_gsm:
-        usd = usd_batch(result.pred, masks4, cfg.band_width, band)
-    return total_loss(bce, dice, kl=kl, usd=usd)
+        parts["usd"] = usd_batch(result.pred, masks4, cfg.band_width, band)
+    for name, part in parts.items():
+        if not np.isfinite(part.data).all():
+            raise T.NonFiniteError(f"loss part {name!r} is non-finite")
+    parts["total"] = reduce(T.add, [parts[name] for name in ("usd", "kl", "bce", "dice")
+                                    if name in parts])
+    return parts
 
 
 @dataclass
@@ -114,10 +122,8 @@ class EpochStats:
     test: dict
 
     def row(self) -> dict:
-        out = {"epoch": self.epoch}
-        out.update({f"loss_{k}": self.losses[k] for k in ("total", "bce", "dice", "kl", "usd")})
-        out.update(self.test)
-        return out
+        return {"epoch": self.epoch, **{f"loss_{k}": self.losses[k] for k in LOSS_PARTS},
+                **self.test}
 
 
 @dataclass
@@ -141,11 +147,10 @@ def predict(model: SegModel, images, batch: int) -> np.ndarray:
 def evaluate_model(model: SegModel, records, cfg: TrainConfig) -> tuple[list, dict]:
     """Inference-mode metrics per record plus their means (PCB untouched)."""
     if not records:
-        return [], dict.fromkeys(("dice", "iou", "fdr", "auc"), 0.0)
+        return [], dict.fromkeys(METRIC_NAMES, 0.0)
     preds = predict(model, [rec.image for rec in records], cfg.batch)
     per_image = metrics(preds, np.stack([rec.mask for rec in records]))
-    mean = {name: float(np.mean([getattr(m, name) for m in per_image]))
-            for name in ("dice", "iou", "fdr", "auc")}
+    mean = {name: float(np.mean([getattr(m, name) for m in per_image])) for name in METRIC_NAMES}
     return per_image, mean
 
 
@@ -232,7 +237,7 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
                 lr = schedule_lr(cfg, epoch)
                 erng = derive_rng(cfg.seed, "epoch", epoch)
                 order = erng.permutation(len(train_records))
-                sums = {k: 0.0 for k in ("total", "bce", "dice", "kl", "usd")}
+                sums = dict.fromkeys(LOSS_PARTS, 0.0)  # an absent part stays 0.0
                 steps = 0
                 for step, idx in enumerate(batches(order, cfg.batch)):
                     where = f"epoch {epoch} step {step}"
@@ -241,13 +246,12 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
                         batch = augment_batch(batch, erng)
                     images, masks, *band = batch
                     result = model.forward(images, masks, training=True, rng=erng)
-                    bundle = compute_losses(result, masks, cfg, *band)
+                    parts = compute_losses(result, masks, cfg, *band)
                     model.registry.zero_grad()
-                    T.backward(bundle.total)
+                    T.backward(parts["total"])
                     opt.step(lr)
-                    for key, value in bundle.values().items():
-                        if key in sums:
-                            sums[key] += value
+                    for name, part in parts.items():
+                        sums[name] += part.item()
                     steps += 1
                 losses = {k: v / max(steps, 1) for k, v in sums.items()}
                 where = f"epoch {epoch} evaluation after step {steps - 1}"
@@ -295,7 +299,6 @@ def gradient_check(k=8, size=32, batch=2, seed=0, band_width=2,
     records = generate_synthetic(batch, size, seed)
     images = np.stack([r.image[None] for r in records]).astype(np.float64)
     masks = np.stack([r.mask[None] for r in records]).astype(np.float64)
-    truth = masks.copy()
     model = SegModel(ModelConfig(k=k, size=size), seed, dtype=np.float64)
     cfg = TrainConfig(k=k, size=size, batch=batch, seed=seed, band_width=band_width,
                       n_samples=max(batch, 2), epochs=1).validate()
@@ -304,18 +307,11 @@ def gradient_check(k=8, size=32, batch=2, seed=0, band_width=2,
         return model.forward(images, masks, training=True,
                              rng=derive_rng(seed, "gradcheck", "eps"))
 
-    parts = {
-        "bce": lambda r: bce_loss(r.pred, truth),
-        "dice": lambda r: dice_loss(r.pred, truth),
-        "kl": lambda r: kl_loss(r.prior, r.posterior),
-        "usd": lambda r: usd_batch(r.pred, masks, band_width),
-        "total": lambda r: compute_losses(r, masks, cfg).total,
-    }
     params = list(model.registry.tensors.values())
     out = {}
-    for name, part in parts.items():
-        def f(_, part=part):
-            return part(forward())
+    for name in compute_losses(forward(), masks, cfg):  # every part, total last
+        def f(_, name=name):
+            return compute_losses(forward(), masks, cfg)[name]
         out[name] = T.finite_diff_check(
             f, params, eps=eps, max_probes=max_probes,
             rng=derive_rng(seed, "gradcheck", "probe", name))
@@ -344,8 +340,7 @@ def ablate_k(cfg: TrainConfig, k_list, csv_path=None, log=None) -> list:
         row = {"k": int(k), **mean}
         rows.append(row)
         if log is not None:
-            log(f"K={k}: dice {mean['dice']:.4f} iou {mean['iou']:.4f} "
-                f"fdr {mean['fdr']:.4f} auc {mean['auc']:.4f}")
+            log(f"K={k}: " + " ".join(f"{name} {mean[name]:.4f}" for name in METRIC_NAMES))
     if csv_path is not None:
         write_rows(csv_path, rows)
     return rows
@@ -369,8 +364,7 @@ def ablate_modules(cfg: TrainConfig, seeds=None, csv_path=None, log=None) -> lis
             sub = replace(cfg, seed=int(seed), use_gsm=use_gsm, use_cibm=use_cibm).validate()
             per_seed.append(fit(sub).history[-1].test)
         row = {"variant": name, "use_gsm": int(use_gsm), "use_cibm": int(use_cibm)}
-        row.update({m: float(np.mean([p[m] for p in per_seed]))
-                    for m in ("dice", "iou", "fdr", "auc")})
+        row.update({m: float(np.mean([p[m] for p in per_seed])) for m in METRIC_NAMES})
         rows.append(row)
         if log is not None:
             log(f"{name}: dice {row['dice']:.4f} over {len(seeds)} seed(s)")

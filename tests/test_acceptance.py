@@ -121,9 +121,8 @@ def test_05_simplex_constraint():
     worst = 0.0
     for _ in range(50):
         out = model.forward(images, masks, training=True, rng=rng)
-        bundle = compute_losses(out, masks, cfg)
         model.registry.zero_grad()
-        T.backward(bundle.total)
+        T.backward(compute_losses(out, masks, cfg)["total"])
         opt.step(cfg.lr)
         for mixer in model.pipeline.mixers:
             sums = mixer.omega().data.sum(axis=1)

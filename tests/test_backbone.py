@@ -119,9 +119,8 @@ class TestOverfit:
         best = 0.0
         for step in range(2000):
             out = model.forward(images, masks, training=True)
-            bundle = compute_losses(out, masks, cfg)
             model.registry.zero_grad()
-            T.backward(bundle.total)
+            T.backward(compute_losses(out, masks, cfg)["total"])
             opt.step(cfg.lr)
             best = metrics(out.pred.data[:, 0], masks[:, 0])[0].dice
             if best >= 0.99:

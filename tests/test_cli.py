@@ -317,6 +317,35 @@ def test_config_file_plus_flag_overrides(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "oracle"])
+def test_missing_config_file_exits_2(tmp_path, capsys, command):
+    missing = tmp_path / "nope.cfg"
+    extra = ["--seed", "0", "--out", str(tmp_path / "run")] if command == "train" else []
+    assert main([command, *extra, "--config", str(missing)]) == 2
+    assert f"error: cannot read config {missing}: " in capsys.readouterr().err
+
+
+# each command writes under --out; ``plain`` is a regular file in the way
+@pytest.mark.parametrize("argv, out, checkpoint", [
+    (["generate", "--seed", "0", "--n-samples", "2", "--size", "16"], "plain", False),
+    (["generate", "--seed", "0", "--n-samples", "2", "--size", "16"], "plain/x", False),
+    (["train", "--seed", "0", *TINY], "plain/x", False),
+    (["inspect-band", *TINY], "plain", False),
+    (["ablate-k", "--k-list", "4", *TINY], "plain/x.csv", False),
+    (["entropy", *TINY], "plain/x", True),
+    (["inspect-omega", *TINY], "plain", True),
+], ids=["generate", "generate-under", "train-under", "inspect-band", "ablate-k-under",
+        "entropy-under", "inspect-omega"])
+def test_out_through_a_regular_file_exits_2(run_dir, tmp_path, capsys, argv, out, checkpoint):
+    plain = tmp_path / "plain"
+    plain.write_text("a file, not a directory\n")
+    if checkpoint:
+        argv = [*argv, "--checkpoint", str(run_dir / "model.ckpt")]
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(plain) in err
+
+
 def test_train_divergence_exits_2(tmp_path, capsys):
     argv = ["train", "--seed", "0", "--n-samples", "16", "--size", "16", "--batch", "4",
             "--epochs", "2", "--k", "4", "--no-augment", "--lr", "1000",

@@ -156,6 +156,15 @@ def test_load_scm_rejects_unknown_keys(tmp_path):
         load_scm_config(path)
 
 
+@pytest.mark.parametrize("load", [load_train_config, load_scm_config])
+@pytest.mark.parametrize("name", ["missing.cfg", "a_directory"])
+def test_unreadable_config_file_named(tmp_path, load, name):
+    (tmp_path / "a_directory").mkdir()
+    path = tmp_path / name
+    with pytest.raises(ConfigError, match=rf"^cannot read config {path}: "):
+        load(path)
+
+
 def test_load_scm_rejects_non_numeric(tmp_path):
     path = tmp_path / "scm.cfg"
     path.write_text("c = 0.5 oops\n")

@@ -11,6 +11,9 @@ from scipy.stats import rankdata
 
 from causalseg import losses as L
 from causalseg import tensor as T
+from causalseg import train
+from causalseg.config import TrainConfig
+from causalseg.model import ForwardResult
 
 
 def brute_auc(scores, labels):
@@ -95,41 +98,51 @@ class TestDice:
 
 
 class TestTotalLoss:
-    def scalars(self, *values):
-        return [T.Tensor(np.asarray(v, dtype=np.float64)) for v in values]
+    """train.compute_losses builds the objective through the train module's
+    bindings; the stubs pin each part to a chosen value."""
 
-    def test_composition(self):
-        bce, dice, kl, usd = self.scalars(0.1, 0.2, 0.3, 0.4)
-        bundle = L.total_loss(bce, dice, kl=kl, usd=usd)
-        assert abs(bundle.gaus.item() - 0.7) < 1e-12
-        assert abs(bundle.total.item() - 1.0) < 1e-12
-        got = bundle.values()
-        assert abs(got["gaus"] - (got["usd"] + got["kl"])) < 1e-15
-        assert abs(got["total"] - (got["gaus"] + got["bce"] + got["dice"])) < 1e-15
+    MASKS = np.zeros((1, 1, 4, 4))
 
-    def test_all_zero(self):
-        bundle = L.total_loss(*self.scalars(0.0, 0.0), kl=None, usd=None)
-        assert bundle.total.item() == 0.0
+    def losses(self, monkeypatch, bce, dice, kl=None, usd=None):
+        def scalar(v):
+            return T.Tensor(np.asarray(v, dtype=np.float64))
+        monkeypatch.setattr(train, "bce_loss", lambda pred, truth: scalar(bce))
+        monkeypatch.setattr(train, "dice_loss", lambda pred, truth: scalar(dice))
+        monkeypatch.setattr(train, "kl_loss", lambda prior, posterior: scalar(kl))
+        monkeypatch.setattr(train, "usd_batch", lambda pred, masks, width, band: scalar(usd))
+        result = ForwardResult(logits=None, pred=T.Tensor(np.full((1, 1, 4, 4), 0.5)),
+                               prior=None, posterior=None if kl is None else object(),
+                               latent=None)
+        cfg = TrainConfig(use_gsm=usd is not None, n_samples=2, size=16, k=4)
+        return train.compute_losses(result, self.MASKS, cfg)
 
-    def test_missing_parts_default_to_zero(self):
-        bce, dice = self.scalars(0.25, 0.5)
-        bundle = L.total_loss(bce, dice)
-        assert bundle.kl.item() == 0.0 and bundle.usd.item() == 0.0
-        assert abs(bundle.total.item() - 0.75) < 1e-12
+    def test_composition(self, monkeypatch):
+        parts = self.losses(monkeypatch, 0.1, 0.2, kl=0.3, usd=0.4)
+        assert list(parts) == ["bce", "dice", "kl", "usd", "total"]
+        assert parts["total"].item() == ((0.4 + 0.3) + 0.1) + 0.2
 
-    def test_nonfinite_part_named(self):
-        bce, dice, usd = self.scalars(0.1, 0.2, np.nan)
-        with pytest.raises(T.NonFiniteError, match="usd"):
-            L.total_loss(bce, dice, usd=usd)
+    def test_all_zero(self, monkeypatch):
+        parts = self.losses(monkeypatch, 0.0, 0.0, kl=0.0, usd=0.0)
+        assert parts["total"].item() == 0.0
+
+    def test_missing_parts_are_left_out(self, monkeypatch):
+        parts = self.losses(monkeypatch, 0.25, 0.5)
+        assert list(parts) == ["bce", "dice", "total"]
+        assert parts["total"].item() == 0.75
+
+    def test_nonfinite_part_named(self, monkeypatch):
+        with pytest.raises(T.NonFiniteError, match=r"^loss part 'usd' is non-finite$"):
+            self.losses(monkeypatch, 0.1, 0.2, kl=0.3, usd=np.nan)
 
     def test_gradient_is_sum_of_part_gradients(self):
         rng = np.random.default_rng(3)
-        y = (rng.random((1, 4, 4)) < 0.5).astype(np.float64)
-        base = rng.uniform(0.2, 0.8, size=(1, 4, 4))
+        y = (rng.random((1, 1, 4, 4)) < 0.5).astype(np.float64)
+        base = rng.uniform(0.2, 0.8, size=(1, 1, 4, 4))
+        cfg = TrainConfig(use_gsm=False, n_samples=2, size=16, k=4)
 
         pred = T.Tensor(base.copy(), requires_grad=True)
-        bundle = L.total_loss(L.bce_loss(pred, y), L.dice_loss(pred, y))
-        T.backward(bundle.total)
+        result = ForwardResult(logits=None, pred=pred, prior=None, posterior=None, latent=None)
+        T.backward(train.compute_losses(result, y, cfg)["total"])
 
         pred_b = T.Tensor(base.copy(), requires_grad=True)
         T.backward(L.bce_loss(pred_b, y))

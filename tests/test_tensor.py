@@ -93,6 +93,14 @@ class TestActivations:
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("data", [np.arange(3), np.array([True, False])])
+    def test_non_float_input_becomes_float32(self, data):
+        out = T.Tensor(data)
+        assert out.data.dtype == np.float32
+        np.testing.assert_array_equal(out.data, data.astype(np.float32))
+
+
 class TestStructure:
     def test_repeat_spatial(self):
         out = T.repeat_spatial(T.Tensor([[1.0, 2.0]]), 2, 2)

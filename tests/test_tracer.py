@@ -32,8 +32,9 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 
 def test_traced_full_forward_records_every_latent_span(monkeypatch):
-    # the per-layer metrics of the latent path read 0, with no error, if
-    # the model stops calling these bindings, so a traced step must hit each
+    # the per-layer metrics of the latent path and the losses read 0, with
+    # no error, if the model or compute_losses stops calling these bindings,
+    # so a traced step must hit each
     monkeypatch.syspath_prepend(str(BENCH))
     tracer = importlib.import_module("tracer").Tracer()
     records = generate_synthetic(2, 16, 0)
@@ -44,10 +45,11 @@ def test_traced_full_forward_records_every_latent_span(monkeypatch):
     try:
         out = model.forward(images, masks, training=True, rng=derive_rng(0, "z"))
         cfg = TrainConfig(k=4, size=16, n_samples=2)
-        T.backward(train.compute_losses(out, masks[:, None], cfg).total)
+        T.backward(train.compute_losses(out, masks[:, None], cfg)["total"])
     finally:
         tracer.uninstall()
     calls = {name: row["calls"] for name, row in tracer.table({"t"}).items()}
     for name in ("gsm.extract_prior", "gsm.extract_posterior", "gsm.sample",
-                 "cibm.fuse", "cibm.mix"):
+                 "cibm.fuse", "cibm.mix", "gsm.kl_loss", "boundary.usd_batch",
+                 "losses.bce_loss", "losses.dice_loss"):
         assert calls.get(name, 0) >= 1, name

@@ -12,7 +12,6 @@ from causalseg.config import ModelConfig, TrainConfig
 from causalseg.data import DatasetError, SampleRecord, generate_synthetic
 from causalseg.model import SegModel
 from causalseg.train import (
-    METRICS_COLUMNS,
     SGD,
     TrainingError,
     ablate_k,
@@ -115,18 +114,25 @@ def _forward_losses(use_gsm, use_cibm):
     masks = np.stack([r.mask for r in records]).astype(np.float32)
     model = SegModel(cfg.model_config(), cfg.seed)
     out = model.forward(images, masks, training=True, rng=derive_rng(0, "z"))
-    return compute_losses(out, masks, cfg).values()
+    return {name: part.item() for name, part in compute_losses(out, masks, cfg).items()}
 
 
 def test_loss_parts_follow_variant():
     plain = _forward_losses(False, False)
-    assert plain["kl"] == 0.0 and plain["usd"] == 0.0
+    assert set(plain) == {"bce", "dice", "total"}
     assert plain["total"] == pytest.approx(plain["bce"] + plain["dice"], rel=1e-6)
 
     full = _forward_losses(True, True)
     assert full["kl"] != 0.0 and full["usd"] != 0.0
     assert full["total"] == pytest.approx(
         full["bce"] + full["dice"] + full["kl"] + full["usd"], rel=1e-6)
+
+
+def test_backbone_fit_reports_zero_kl_and_usd():
+    cfg = TrainConfig(**{**TINY, "epochs": 1}, use_gsm=False, use_cibm=False).validate()
+    losses = fit(cfg).history[0].losses
+    assert losses["kl"] == 0.0 and losses["usd"] == 0.0
+    assert losses["total"] == pytest.approx(losses["bce"] + losses["dice"], rel=1e-6)
 
 
 # -- fit ---------------------------------------------------------------------
@@ -146,7 +152,8 @@ def test_fit_writes_metrics_csv(tmp_path):
     result = fit(cfg, csv_path=csv_path)
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert tuple(rows[0]) == METRICS_COLUMNS
+    assert tuple(rows[0]) == ("epoch", "loss_total", "loss_bce", "loss_dice", "loss_kl",
+                              "loss_usd", "dice", "iou", "fdr", "auc")
     assert len(rows) == 1 + cfg.epochs
     assert [r[0] for r in rows[1:]] == [str(e) for e in range(cfg.epochs)]
     for row in rows[1:]:

@@ -24,7 +24,7 @@ from .data import (DatasetError, PgmError, export_dataset, generate_synthetic, i
 from .losses import entropy_map
 from .model import SegModel
 from .tensor import Tensor
-from .train import (METRIC_NAMES, SGD, TrainingError, ablate_k, ablate_modules, evaluate_model,
+from .train import (METRIC_NAMES, MODULE_VARIANTS, SGD, TrainingError, ablate, evaluate_model,
                     fit, gradient_check, load_dataset, predict, restore_training_state, write_rows)
 
 
@@ -100,8 +100,7 @@ def cmd_ingest_check(args):
 
 def cmd_train(args):
     cfg = _config_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # fit makes it once the data and any --resume have loaded
     result = fit(cfg, csv_path=out / "metrics.csv", checkpoint_path=out / "model.ckpt",
                  resume=args.resume, log=print)
     final = result.history[-1].test if result.history else {}
@@ -126,15 +125,15 @@ def cmd_evaluate(args):
 
 
 def cmd_ablate_k(args):
-    cfg = _config_from_args(args)
-    rows = ablate_k(cfg, args.k_list, csv_path=args.out, log=print)
-    print(f"wrote {len(rows)} rows to {args.out}" if args.out else f"{len(rows)} rows")
-    return 0
+    return _ablate(args, [({"k": k}, {"k": k}) for k in args.k_list])
 
 
 def cmd_ablate_modules(args):
-    cfg = _config_from_args(args)
-    rows = ablate_modules(cfg, seeds=args.seeds, csv_path=args.out, log=print)
+    return _ablate(args, MODULE_VARIANTS, args.seeds)
+
+
+def _ablate(args, variants, seeds=None):
+    rows = ablate(_config_from_args(args), variants, seeds, csv_path=args.out, log=print)
     print(f"wrote {len(rows)} rows to {args.out}" if args.out else f"{len(rows)} rows")
     return 0
 

@@ -84,15 +84,3 @@ class SegModel:
         logits = self.backbone.decode(stages, hook)
         return ForwardResult(logits=logits, pred=T.sigmoid(logits), prior=prior,
                              posterior=posterior, latent=latent)
-
-    def load_arrays(self, arrays: dict):
-        """Copy checkpoint arrays into parameters; names must match exactly."""
-        params = self.registry.tensors
-        missing = sorted(set(params) - set(arrays))
-        if missing:
-            raise KeyError(f"checkpoint missing parameters: {', '.join(missing)}")
-        for name, t in params.items():
-            src = arrays[name]
-            if src.shape != t.data.shape:
-                raise T.ShapeError(f"{name}: checkpoint shape {src.shape} != model {t.data.shape}")
-            t.data[:] = src.astype(t.data.dtype, copy=False)

@@ -1,4 +1,4 @@
-"""SGD training loop, evaluation, ablation drivers, and CSV emission.
+"""SGD training loop, evaluation, ablations, and CSV emission.
 
 Determinism contract: every stochastic choice in epoch e (shuffle order,
 augmentation draws, latent noise) comes from a generator derived from
@@ -170,11 +170,17 @@ def restore_training_state(ckpt: Checkpoint, model: SegModel, opt: SGD) -> int:
         raise TrainingError(f"checkpoint K={ckpt.k} does not match config K={model.config.k}")
     if ckpt.config_hash != model.config.config_hash():
         raise TrainingError("checkpoint config hash does not match the requested model")
-    missing = [key for key in (*_momentum_arrays(opt), "meta.epoch") if key not in ckpt.arrays]
+    # every parameter and momentum array is checked by name and shape before any copy
+    targets = {**model.registry.named_arrays(), **_momentum_arrays(opt)}
+    shapes = {**{key: buf.shape for key, buf in targets.items()}, "meta.epoch": (1,)}
+    missing = [key for key in shapes if key not in ckpt.arrays]
     if missing:
         raise TrainingError(f"checkpoint missing {', '.join(missing)}")
-    model.load_arrays(ckpt.arrays)
-    for key, buf in _momentum_arrays(opt).items():
+    for key, shape in shapes.items():
+        if ckpt.arrays[key].shape != shape:
+            raise TrainingError(f"checkpoint array {key} has shape {ckpt.arrays[key].shape}, "
+                                f"the model's is {shape}")
+    for key, buf in targets.items():
         buf[:] = ckpt.arrays[key].astype(buf.dtype, copy=False)
     return int(ckpt.arrays["meta.epoch"][0])
 
@@ -219,6 +225,10 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
     history = []
     writer = None
     csv_file = None
+    # the output directories are made only once the data and any resume state have loaded
+    for path in (csv_path, checkpoint_path):
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
     if csv_path is not None:
         mode = "a" if (resume is not None and Path(csv_path).exists()) else "w"
         if mode == "a":
@@ -318,7 +328,7 @@ def gradient_check(k=8, size=32, batch=2, seed=0, band_width=2,
     return out
 
 
-# -- ablation drivers ---------------------------------------------------------
+# -- ablations ---------------------------------------------------------------
 
 def write_rows(csv_path, rows):
     """CSV of dict rows, header from the first row's keys; makes the directory."""
@@ -329,45 +339,30 @@ def write_rows(csv_path, rows):
         writer.writerows(rows)
 
 
-def ablate_k(cfg: TrainConfig, k_list, csv_path=None, log=None) -> list:
-    """One train/evaluate cycle per K with a shared seed; Table-shaped rows."""
-    if not k_list:
-        raise ValueError("k_list must be nonempty")
+MODULE_VARIANTS = tuple(
+    ({"variant": name, "use_gsm": int(gsm), "use_cibm": int(cibm)},
+     {"use_gsm": gsm, "use_cibm": cibm})
+    for name, gsm, cibm in (("backbone", False, False), ("backbone+gsm", True, False),
+                            ("backbone+cibm", False, True), ("backbone+gsm+cibm", True, True)))
+
+
+def ablate(cfg: TrainConfig, variants, seeds=None, csv_path=None, log=None) -> list:
+    """One row per (fields, overrides) variant: its CSV fields, then each
+    metric's mean over ``seeds`` (default: cfg.seed) of the final test
+    evaluation of a fit of cfg with the overrides.  Every run's config is
+    validated before the first fit."""
+    seeds = [int(seed) for seed in seeds] if seeds else [cfg.seed]
+    runs = [[replace(cfg, seed=seed, **overrides).validate() for seed in seeds]
+            for _, overrides in variants]
     rows = []
-    for k in k_list:
-        sub = replace(cfg, k=int(k)).validate()
-        mean = fit(sub).history[-1].test  # fit's own final evaluation
-        row = {"k": int(k), **mean}
+    for (row_fields, _), cfgs in zip(variants, runs):
+        tests = [fit(sub).history[-1].test for sub in cfgs]  # fit's own final evaluation
+        row = {**row_fields, **{m: float(np.mean([t[m] for t in tests])) for m in METRIC_NAMES}}
         rows.append(row)
         if log is not None:
-            log(f"K={k}: " + " ".join(f"{name} {mean[name]:.4f}" for name in METRIC_NAMES))
-    if csv_path is not None:
-        write_rows(csv_path, rows)
-    return rows
-
-
-MODULE_VARIANTS = (
-    ("backbone", False, False),
-    ("backbone+gsm", True, False),
-    ("backbone+cibm", False, True),
-    ("backbone+gsm+cibm", True, True),
-)
-
-
-def ablate_modules(cfg: TrainConfig, seeds=None, csv_path=None, log=None) -> list:
-    """Four-variant grid; metrics are means over the given seeds."""
-    seeds = list(seeds) if seeds else [cfg.seed]
-    rows = []
-    for name, use_gsm, use_cibm in MODULE_VARIANTS:
-        per_seed = []
-        for seed in seeds:
-            sub = replace(cfg, seed=int(seed), use_gsm=use_gsm, use_cibm=use_cibm).validate()
-            per_seed.append(fit(sub).history[-1].test)
-        row = {"variant": name, "use_gsm": int(use_gsm), "use_cibm": int(use_cibm)}
-        row.update({m: float(np.mean([p[m] for p in per_seed])) for m in METRIC_NAMES})
-        rows.append(row)
-        if log is not None:
-            log(f"{name}: dice {row['dice']:.4f} over {len(seeds)} seed(s)")
+            fields = " ".join(f"{k}={v}" for k, v in row_fields.items())
+            scores = " ".join(f"{m} {row[m]:.4f}" for m in METRIC_NAMES)
+            log(f"{fields}: {scores} over {len(seeds)} seed(s)")
     if csv_path is not None:
         write_rows(csv_path, rows)
     return rows

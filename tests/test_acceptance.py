@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from causalseg import gsm
 from causalseg import scm as scm_mod
@@ -21,7 +20,9 @@ from causalseg.losses import entropy_map, metrics
 from causalseg.model import SegModel
 from causalseg.rngs import derive_rng
 from causalseg.train import (
+    MODULE_VARIANTS,
     SGD,
+    ablate,
     compute_losses,
     evaluate_model,
     fit,
@@ -186,15 +187,9 @@ def test_08_ablation_direction():
     base = TrainConfig(n_samples=256, size=32, batch=8, epochs=60, k=16,
                        augment=False, lr=0.05, weight_decay=0.0,
                        schedule="cosine", seed=0)
-    means = {}
-    for name, use_gsm, use_cibm in (("backbone", False, False), ("full", True, True)):
-        dices = []
-        for seed in (0, 1, 2):
-            cfg = replace(base, seed=seed, use_gsm=use_gsm, use_cibm=use_cibm).validate()
-            result = fit(cfg)
-            _, mean = evaluate_model(result.model, result.test_records, cfg)
-            dices.append(mean["dice"])
-        means[name] = float(np.mean(dices))
+    backbone, full = MODULE_VARIANTS[0], MODULE_VARIANTS[-1]
+    rows = ablate(base, [backbone, full], seeds=(0, 1, 2))
+    means = {"backbone": rows[0]["dice"], "full": rows[1]["dice"]}
     assert means["full"] >= means["backbone"], f"{means}"
     print(f"ACCEPTANCE 8 ablation direction: PASS (full {means['full']:.4f} "
           f">= backbone {means['backbone']:.4f} over 3 seeds)")

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import causalseg
+from causalseg import train
+from causalseg.checkpoint import load_checkpoint, save_checkpoint
 from causalseg.cli import _config_from_args, build_parser, main
 from causalseg.config import TrainConfig, load_train_config
 from causalseg.data import generate_synthetic, ingest, read_pgm, split_dataset, write_pgm
@@ -148,6 +150,31 @@ def test_evaluate_rejects_a_mambo1_checkpoint(tmp_path, capsys):
     assert f"error: cannot read checkpoint {old}: a MAMBO1 checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, command", [
+    ("backbone.head.bias", "evaluate"), ("opt.backbone.head.bias", "train")])
+def test_misshapen_checkpoint_array_exits_2(run_dir, tmp_path, capsys, key, command):
+    stored = load_checkpoint(run_dir / "model.ckpt")
+    stored.arrays[key] = np.zeros(2, dtype=np.float32)
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, stored.arrays, stored.k, stored.config_hash)
+    where = (["--resume", str(ckpt), "--out", str(tmp_path / "run")] if command == "train"
+             else ["--checkpoint", str(ckpt)])
+    assert main([command, "--seed", "0", *where, *TINY, "--epochs", "3"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: checkpoint array {key} has shape (2,)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["data", "resume"])
+def test_train_that_fails_to_load_leaves_no_out_dir(tmp_path, capsys, bad):
+    missing = tmp_path / "missing"
+    out = tmp_path / "run"
+    assert main(["train", "--seed", "0", *TINY, f"--{bad}", str(missing),
+                 "--out", str(out)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_requires_seed(run_dir, capsys):
     # the held-out split depends on the training seed, which no checkpoint stores
     with pytest.raises(SystemExit) as exc:
@@ -195,6 +222,8 @@ def test_ablate_k_csv(tmp_path, capsys):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["k"] for r in rows] == ["4", "8"]
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"k=4: dice \S+ iou \S+ fdr \S+ auc \S+ over 1 seed\(s\)", lines[0])
 
 
 def test_ablate_modules_csv(tmp_path, capsys):
@@ -205,6 +234,17 @@ def test_ablate_modules_csv(tmp_path, capsys):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4 and rows[0]["variant"] == "backbone"
+    assert capsys.readouterr().out.startswith(
+        "variant=backbone use_gsm=0 use_cibm=0: dice ")
+
+
+def test_ablate_validates_every_run_before_the_first_fit(tmp_path, monkeypatch, capsys):
+    fits = []
+    monkeypatch.setattr(train, "fit", lambda *args, **kwargs: fits.append(args))
+    out = tmp_path / "k.csv"
+    assert main(["ablate-k", "--seed", "0", "--k-list", "4,1000", "--out", str(out), *TINY]) == 2
+    assert "error: k must be in [4, 512], got 1000" in capsys.readouterr().err
+    assert fits == [] and not out.exists()
 
 
 def test_entropy_maps(run_dir, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""SegModel composition: ablation variants, latent plumbing, array I/O."""
+"""SegModel composition: ablation variants and latent plumbing."""
 
 import numpy as np
 import pytest
@@ -133,31 +133,3 @@ def test_rejects_bad_image_rank():
     model = SegModel(ModelConfig(**CFG), seed=0)
     with pytest.raises(T.ShapeError):
         model.forward(np.zeros((2, 3, 32, 32), dtype=np.float32), training=False)
-
-
-def test_load_arrays_round_trip():
-    images, _ = _batch()
-    src = SegModel(ModelConfig(**CFG), seed=0)
-    dst = SegModel(ModelConfig(**CFG), seed=1)
-    before = dst.forward(images, training=False).pred.data.copy()
-    dst.load_arrays(src.registry.named_arrays())
-    after = dst.forward(images, training=False).pred.data
-    assert not np.array_equal(before, after)
-    np.testing.assert_array_equal(after, src.forward(images, training=False).pred.data)
-
-
-def test_load_arrays_missing_name():
-    model = SegModel(ModelConfig(**CFG), seed=0)
-    arrays = model.registry.named_arrays()
-    arrays.pop(sorted(arrays)[0])
-    with pytest.raises(KeyError, match="missing"):
-        model.load_arrays(arrays)
-
-
-def test_load_arrays_shape_mismatch():
-    model = SegModel(ModelConfig(**CFG), seed=0)
-    arrays = model.registry.named_arrays()
-    name = sorted(arrays)[0]
-    arrays[name] = np.zeros(np.asarray(arrays[name]).size + 1, dtype=np.float32)
-    with pytest.raises(T.ShapeError, match=name.split(".")[0]):
-        model.load_arrays(arrays)

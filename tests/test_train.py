@@ -1,6 +1,7 @@
 """Training loop: schedules, optimizer math, resume determinism, drivers."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from causalseg.data import DatasetError, SampleRecord, generate_synthetic
 from causalseg.model import SegModel
 from causalseg.train import (
     SGD,
+    MODULE_VARIANTS,
     TrainingError,
-    ablate_k,
-    ablate_modules,
+    ablate,
     compute_losses,
     cosine_lr,
     evaluate_model,
@@ -23,6 +24,8 @@ from causalseg.train import (
     gradient_check,
     load_dataset,
     predict,
+    restore_training_state,
+    save_training_state,
     schedule_lr,
 )
 from causalseg.checkpoint import load_checkpoint, save_checkpoint
@@ -281,7 +284,7 @@ def test_fit_divergence_is_a_training_error():
         fit(cfg)
 
 
-@pytest.mark.parametrize("dropped", ["opt.", "meta.epoch"])
+@pytest.mark.parametrize("dropped", ["backbone.", "opt.", "meta.epoch"])
 def test_restore_rejects_incomplete_checkpoint(tmp_path, dropped):
     cfg = TrainConfig(**TINY).validate()
     ckpt = tmp_path / "model.ckpt"
@@ -293,6 +296,42 @@ def test_restore_rejects_incomplete_checkpoint(tmp_path, dropped):
     longer = TrainConfig(**{**TINY, "epochs": 5}).validate()
     with pytest.raises(TrainingError, match=f"missing {key}"):
         fit(longer, resume=ckpt)
+
+
+def _fresh_state(seed):
+    cfg = TrainConfig(**TINY).validate()
+    model = SegModel(cfg.model_config(), seed)
+    return model, SGD(model.registry, cfg.momentum, cfg.weight_decay)
+
+
+def test_restore_copies_every_parameter(tmp_path):
+    images = np.stack([r.image for r in generate_synthetic(2, 16, seed=0)])
+    src, src_opt = _fresh_state(0)
+    for buf in src_opt.velocity.values():
+        buf += 1.0
+    save_training_state(tmp_path / "model.ckpt", src, src_opt, 1)
+    dst, dst_opt = _fresh_state(1)
+    before = dst.forward(images, training=False).pred.data.copy()
+    assert restore_training_state(load_checkpoint(tmp_path / "model.ckpt"), dst, dst_opt) == 1
+    after = dst.forward(images, training=False).pred.data
+    assert not np.array_equal(before, after)
+    np.testing.assert_array_equal(after, src.forward(images, training=False).pred.data)
+    for name, buf in src_opt.velocity.items():
+        np.testing.assert_array_equal(dst_opt.velocity[name], buf)
+
+
+@pytest.mark.parametrize("key", ["backbone.head.bias", "opt.backbone.head.weight"])
+def test_restore_names_a_misshapen_array(tmp_path, key):
+    src, src_opt = _fresh_state(0)
+    save_training_state(tmp_path / "model.ckpt", src, src_opt, 1)
+    stored = load_checkpoint(tmp_path / "model.ckpt")
+    stored.arrays[key] = np.zeros(2, dtype=np.float32)
+    dst, dst_opt = _fresh_state(1)
+    untouched = {name: arr.copy() for name, arr in dst.registry.named_arrays().items()}
+    with pytest.raises(TrainingError, match=rf"checkpoint array {re.escape(key)} has shape \(2,\)"):
+        restore_training_state(stored, dst, dst_opt)
+    for name, arr in dst.registry.named_arrays().items():  # checked before any copy
+        np.testing.assert_array_equal(arr, untouched[name])
 
 
 def test_checkpoint_written_every_epoch(tmp_path):
@@ -405,13 +444,17 @@ def test_gradient_check_at_size_8_audits_the_2px_stage():
     assert max(errors.values()) < 1e-4
 
 
-# -- ablation drivers --------------------------------------------------------
+# -- ablations --------------------------------------------------------------
+
+def _k_variants(ks):
+    return [({"k": k}, {"k": k}) for k in ks]
+
 
 def test_ablate_k_rows_and_determinism(tmp_path):
     cfg = TrainConfig(**{**TINY, "epochs": 2}).validate()
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    rows = ablate_k(cfg, [4, 8], csv_path=path_a)
-    ablate_k(cfg, [4, 8], csv_path=path_b)
+    rows = ablate(cfg, _k_variants([4, 8]), csv_path=path_a)
+    ablate(cfg, _k_variants([4, 8]), csv_path=path_b)
     assert [r["k"] for r in rows] == [4, 8]
     for row in rows:
         assert all(np.isfinite(float(row[m])) for m in ("dice", "iou", "fdr", "auc"))
@@ -428,7 +471,7 @@ def test_ablate_k_reuses_the_final_epoch_evaluation(monkeypatch):
         return real_evaluate(*args)
 
     monkeypatch.setattr(train, "evaluate_model", counted)
-    rows = ablate_k(cfg, [8])
+    rows = ablate(cfg, _k_variants([8]))
     assert len(calls) == cfg.epochs  # one per epoch, none after the fit
     result = fit(cfg)
     _, mean = real_evaluate(result.model, result.test_records, cfg)
@@ -437,7 +480,7 @@ def test_ablate_k_reuses_the_final_epoch_evaluation(monkeypatch):
 
 def test_ablate_modules_grid(tmp_path):
     cfg = TrainConfig(**{**TINY, "epochs": 2}).validate()
-    rows = ablate_modules(cfg, seeds=(0,), csv_path=tmp_path / "m.csv")
+    rows = ablate(cfg, MODULE_VARIANTS, seeds=(0,), csv_path=tmp_path / "m.csv")
     assert [r["variant"] for r in rows] == [
         "backbone", "backbone+gsm", "backbone+cibm", "backbone+gsm+cibm"]
     flags = {(bool(r["use_gsm"]), bool(r["use_cibm"])) for r in rows}

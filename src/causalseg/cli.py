@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Subcommands cover dataset generation/ingestion, training with resume,
-evaluation, the K and module ablations, entropy-map emission, gradient
-checking, the discrete causal oracle and its random-model gap sweep, and
-band/omega inspection dumps.
+evaluation, the K and module ablations, a checkpoint's inspection dump
+(per-record maps, omega CSVs and latent diagnostics), gradient checking,
+and the discrete causal oracle with its random-model gap sweep.
 """
 
 import argparse
-import csv
+import json
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -24,8 +24,9 @@ from .data import (DatasetError, PgmError, export_dataset, generate_synthetic, i
 from .losses import entropy_map
 from .model import SegModel
 from .tensor import Tensor
-from .train import (METRIC_NAMES, MODULE_VARIANTS, SGD, TrainingError, ablate, evaluate_model,
-                    fit, gradient_check, load_dataset, predict, restore_training_state, write_rows)
+from .train import (METRIC_NAMES, MODULE_VARIANTS, SGD, TrainingError, ablate, diagnose,
+                    evaluate_model, fit, gradient_check, load_dataset, predict,
+                    restore_training_state, write_rows)
 
 
 def _add_config_flags(parser, require_seed=False):
@@ -138,19 +139,6 @@ def _ablate(args, variants, seeds=None):
     return 0
 
 
-def cmd_entropy(args):
-    cfg = _config_from_args(args)
-    model = _load_model(args, cfg)
-    records = load_dataset(cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    preds = predict(model, [rec.image for rec in records], cfg.batch)
-    for i, (rec, pred) in enumerate(zip(records, preds)):
-        write_pgm(outdir / f"{rec.stem or i}.entropy.pgm", entropy_map(pred))
-    print(f"wrote {len(records)} entropy maps to {outdir}")
-    return 0
-
-
 def cmd_gradcheck(args):
     out = gradient_check(k=args.k, size=args.size, seed=args.seed,
                          max_probes=args.max_probes)
@@ -184,49 +172,32 @@ def cmd_oracle(args):
     return 0
 
 
-def cmd_inspect_band(args):
+def cmd_inspect(args):
     cfg = _config_from_args(args)
-    records = load_dataset(cfg)
-    if not 0 <= args.index < len(records):
-        print(f"index {args.index} out of range (dataset has {len(records)} records)",
-              file=sys.stderr)
-        return 1
-    rec = records[args.index]
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stem = rec.stem or str(args.index)
-    band = boundary_band(rec.mask, cfg.band_width)
-    edges = sobel_magnitude(rec.mask)
-    write_pgm(outdir / f"{stem}.band.pgm", band.astype(np.float64))
-    write_pgm(outdir / f"{stem}.sobel.pgm", edges / max(edges.max(), 1.0))
-    emitted = ["band", "sobel"]
-    if args.checkpoint:
-        model = _load_model(args, cfg)
-        pred = predict(model, rec.image[None], 1).astype(np.float64)
-        v = uncertainty_map(Tensor(pred[:, None]), band[None, None]).data[0, 0]
-        write_pgm(outdir / f"{stem}.uncertainty.pgm", v / max(v.max(), 1e-12))
-        emitted.append("uncertainty")
-    print(f"band pixels: {int(band.sum())}; wrote {', '.join(emitted)} maps to {outdir}")
-    return 0
-
-
-def cmd_inspect_omega(args):
-    cfg = _config_from_args(args)
-    if not cfg.use_cibm:
-        print("model has no mixing weights (use_cibm is off)", file=sys.stderr)
-        return 1
     model = _load_model(args, cfg)
+    records = load_dataset(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for stage, mixer in enumerate(model.pipeline.mixers):
-        omega = mixer.omega().data
-        path = outdir / f"omega_stage{stage}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["channel"] + [f"k{j}" for j in range(omega.shape[1])])
-            for row_idx, row in enumerate(omega):
-                writer.writerow([row_idx] + [f"{w:.8f}" for w in row])
-        print(f"stage {stage}: {omega.shape[0]}x{omega.shape[1]} -> {path}")
+    # every map is one batched (N,1,H,W) call; sobel and uncertainty scale to each image's peak
+    preds = predict(model, [rec.image for rec in records], cfg.batch)[:, None]
+    masks = np.stack([rec.mask for rec in records])[:, None]
+    bands = boundary_band(masks, cfg.band_width)
+    edges = sobel_magnitude(masks)
+    v = uncertainty_map(Tensor(preds.astype(np.float64)), bands).data
+    maps = {"entropy": entropy_map(preds), "band": bands,
+            "sobel": edges / np.maximum(edges.max(axis=(1, 2, 3), keepdims=True), 1.0),
+            "uncertainty": v / np.maximum(v.max(axis=(1, 2, 3), keepdims=True), 1e-12)}
+    for i, rec in enumerate(records):
+        for name, stack in maps.items():
+            write_pgm(outdir / f"{rec.stem or i}.{name}.pgm", stack[i, 0])
+    mixers = model.pipeline.mixers if model.pipeline is not None else []
+    for stage, mixer in enumerate(mixers):
+        write_rows(outdir / f"omega_stage{stage}.csv",
+                   [{"channel": c, **{f"k{j}": f"{w:.8f}" for j, w in enumerate(row)}}
+                    for c, row in enumerate(mixer.omega().data)])
+    diagnostics = diagnose(model, *split_dataset(records, cfg.split_fraction, cfg.seed))
+    (outdir / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2) + "\n")
+    print(f"wrote {4 * len(records)} maps, {len(mixers)} omega CSVs and diagnostics.json to {outdir}")
     return 0
 
 
@@ -271,12 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV path")
     p.set_defaults(func=cmd_ablate_modules)
 
-    p = sub.add_parser("entropy", help="emit per-image entropy maps")
-    _add_config_flags(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_entropy)
-
     p = sub.add_parser("gradcheck", help="finite-difference audit of all losses")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=8)
@@ -292,18 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instead, percentiles of both TV gaps over N random SCMs")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("inspect-band", help="dump boundary band/Sobel/uncertainty maps")
-    _add_config_flags(p)
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--checkpoint", help="optional, adds the uncertainty map")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_inspect_band)
-
-    p = sub.add_parser("inspect-omega", help="dump per-stage mixing weights as CSV")
-    _add_config_flags(p)
+    p = sub.add_parser("inspect", help="dump per-record maps, omega CSVs and latent diagnostics")
+    _add_config_flags(p, require_seed=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_inspect_omega)
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(func=cmd_inspect)
 
     return parser
 

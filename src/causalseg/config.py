@@ -7,6 +7,7 @@ into checkpoints to catch evaluate-time mismatches.
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,12 @@ class TrainConfig:
     use_cibm: bool = True
 
     def validate(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch < 1 or self.epochs < 1:
             raise ConfigError("batch and epochs must be >= 1")
         if not K_MIN <= self.k <= K_MAX:

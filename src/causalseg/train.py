@@ -1,4 +1,4 @@
-"""SGD training loop, evaluation, ablations, and CSV emission.
+"""SGD training loop, evaluation, latent diagnostics, ablations, and CSV emission.
 
 Determinism contract: every stochastic choice in epoch e (shuffle order,
 augmentation draws, latent noise) comes from a generator derived from
@@ -13,13 +13,14 @@ from functools import reduce
 from pathlib import Path
 
 import numpy as np
+from scipy.special import entr
 
 from . import boundary, tensor as T
 from .boundary import usd_batch
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .data import DatasetError, augment_batch, batches, generate_synthetic, ingest, split_dataset
-from .gsm import kl_loss
+from .gsm import extract_posterior, extract_prior, kl_loss
 from .losses import bce_loss, dice_loss, metrics
 from .model import ForwardResult, SegModel
 from .rngs import derive_rng
@@ -154,6 +155,42 @@ def evaluate_model(model: SegModel, records, cfg: TrainConfig) -> tuple[list, di
     return per_image, mean
 
 
+def diagnose(model: SegModel, train_records, test_records) -> dict:
+    """Latent and mixer diagnostics on a fit's split; {} for the backbone alone.
+
+    GSm: ``prior_mu_std`` (the train split's between-image std of prior mu,
+    mean over K), ``prior_sigma_mean``, and ``kl`` (KL(prior || posterior) on
+    the train split).  With every record tagged, also ``probe_accuracy`` of a
+    nearest-class-mean probe of the tag on prior mu (train class means, test
+    split) beside ``probe_majority_share``, the test split's largest stratum
+    share.  CIBM: ``omega_entropy``, each stage's mean omega row entropy in nats.
+    """
+    def planes(records, field):  # (N,1,H,W) in the model's dtype
+        return T.Tensor(np.stack([getattr(r, field) for r in records])[:, None].astype(model.dtype))
+
+    out = {}
+    if model.gdeb is not None:
+        prior = extract_prior(planes(train_records, "image"), model.gdeb)
+        mu = prior.mu.data.astype(np.float64)
+        out["prior_mu_std"] = float(mu.std(axis=0).mean())
+        out["prior_sigma_mean"] = float(prior.sigma.data.astype(np.float64).mean())
+        posterior = extract_posterior(planes(train_records, "mask"), model.pcb)
+        out["kl"] = kl_loss(prior, posterior).item()
+        train_tags, test_tags = (np.array([rec.confounder_tag for rec in recs])
+                                 for recs in (train_records, test_records))
+        if min(train_tags.min(), test_tags.min()) >= 0:
+            classes = np.unique(train_tags)
+            means = np.stack([mu[train_tags == c].mean(axis=0) for c in classes])
+            test_mu = extract_prior(planes(test_records, "image"), model.gdeb).mu.data
+            dist = np.square(test_mu.astype(np.float64)[:, None] - means).sum(axis=2)
+            out["probe_accuracy"] = float(np.mean(classes[dist.argmin(axis=1)] == test_tags))
+            out["probe_majority_share"] = float(np.bincount(test_tags).max() / len(test_tags))
+    if model.pipeline is not None:
+        out["omega_entropy"] = [float(entr(m.omega().data.astype(np.float64)).sum(axis=1).mean())
+                                for m in model.pipeline.mixers]
+    return out
+
+
 def _momentum_arrays(opt: SGD) -> dict:
     return {f"opt.{name}": buf for name, buf in opt.velocity.items()}
 
@@ -186,10 +223,13 @@ def restore_training_state(ckpt: Checkpoint, model: SegModel, opt: SGD) -> int:
 
 
 def _truncate_rows(path, rows: int):
-    """Cut a CSV file to its header line plus its first ``rows`` rows."""
+    """Cut a CSV file to its header line plus its first ``rows`` rows; a file
+    with fewer complete rows raises TrainingError and is left as it is."""
     with open(path, "r+b") as fh:
-        for _ in range(rows + 1):
-            fh.readline()
+        complete = sum(fh.readline().endswith(b"\n") for _ in range(rows + 1)) - 1
+        if complete < rows:
+            raise TrainingError(f"{path} has {max(complete, 0)} complete rows, "
+                                f"but the checkpoint is at epoch {rows}")
         fh.truncate()
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage through main(argv)."""
 
 import csv
+import json
 import os
 import re
 import shlex
@@ -14,10 +15,12 @@ import pytest
 
 import causalseg
 from causalseg import train
+from causalseg.boundary import boundary_band
 from causalseg.checkpoint import load_checkpoint, save_checkpoint
-from causalseg.cli import _config_from_args, build_parser, main
+from causalseg.cli import _config_from_args, _load_model, build_parser, main
 from causalseg.config import TrainConfig, load_train_config
-from causalseg.data import generate_synthetic, ingest, read_pgm, split_dataset, write_pgm
+from causalseg.data import generate_synthetic, ingest, split_dataset, write_pgm
+from causalseg.losses import entropy_map
 from causalseg.model import SegModel
 from causalseg.train import METRICS_COLUMNS, load_dataset
 
@@ -247,17 +250,6 @@ def test_ablate_validates_every_run_before_the_first_fit(tmp_path, monkeypatch, 
     assert fits == [] and not out.exists()
 
 
-def test_entropy_maps(run_dir, tmp_path, capsys):
-    out = tmp_path / "ent"
-    code = main(["entropy", "--checkpoint", str(run_dir / "model.ckpt"),
-                 "--out", str(out), *TINY])
-    assert code == 0
-    maps = sorted(out.glob("*.entropy.pgm"))
-    assert len(maps) == 6
-    img = read_pgm(maps[0])
-    assert img.shape == (16, 16)
-
-
 def test_gradcheck_pass_and_fail_exit_codes(capsys):
     argv = ["gradcheck", "--k", "4", "--size", "16", "--max-probes", "2"]
     assert main(argv) == 0
@@ -313,32 +305,63 @@ def test_oracle_table(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
-def test_inspect_band(run_dir, tmp_path, capsys):
-    out = tmp_path / "band"
-    code = main(["inspect-band", "--checkpoint", str(run_dir / "model.ckpt"),
-                 "--index", "0", "--out", str(out), *TINY])
-    assert code == 0
-    assert "band, sobel, uncertainty" in capsys.readouterr().out
-    assert len(list(out.glob("*.pgm"))) == 3
+@pytest.fixture(scope="module")
+def inspected(run_dir, tmp_path_factory):
+    """One ``inspect`` run on the shared checkpoint, with the records and
+    predictions it was made from."""
+    out = tmp_path_factory.mktemp("inspect")
+    argv = ["inspect", "--seed", "0", "--checkpoint", str(run_dir / "model.ckpt"),
+            "--out", str(out), *TINY]
+    assert main(argv) == 0
+    args = build_parser().parse_args(argv)
+    cfg = _config_from_args(args)
+    records = load_dataset(cfg)
+    preds = train.predict(_load_model(args, cfg), [rec.image for rec in records], cfg.batch)
+    return out, cfg, records, preds
 
-    assert main(["inspect-band", "--index", "99", "--out", str(out), *TINY]) == 1
+
+def test_entropy_maps(inspected, tmp_path):
+    out, _, records, preds = inspected
+    assert len(list(out.glob("*.entropy.pgm"))) == len(records) == 6
+    for rec, pred in zip(records, preds):
+        write_pgm(tmp_path / "want.pgm", entropy_map(pred))
+        assert (out / f"{rec.stem}.entropy.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
 
 
-def test_inspect_omega(run_dir, tmp_path, capsys):
-    out = tmp_path / "omega"
-    code = main(["inspect-omega", "--checkpoint", str(run_dir / "model.ckpt"),
-                 "--out", str(out), *TINY])
-    assert code == 0
+def test_inspect_band(inspected, tmp_path):
+    out, cfg, records, _ = inspected
+    assert len(list(out.glob("*.pgm"))) == 4 * len(records)
+    for rec in records:
+        assert sorted(path.name for path in out.glob(f"{rec.stem}.*.pgm")) == [
+            f"{rec.stem}.{name}.pgm" for name in ("band", "entropy", "sobel", "uncertainty")]
+        write_pgm(tmp_path / "want.pgm", boundary_band(rec.mask, cfg.band_width))
+        assert (out / f"{rec.stem}.band.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+
+
+def test_inspect_omega(inspected, tmp_path):
+    out = inspected[0]
     stage_files = sorted(out.glob("omega_stage*.csv"))
     assert len(stage_files) == 3
-    with open(stage_files[0], newline="") as fh:
-        rows = list(csv.reader(fh))
-    weights = np.array([[float(w) for w in row[1:]] for row in rows[1:]])
-    np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
+    for path in stage_files:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        weights = np.array([[float(w) for w in row[1:]] for row in rows[1:]])
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
 
-    code = main(["inspect-omega", "--checkpoint", str(run_dir / "model.ckpt"),
-                 "--no-use-cibm", "--out", str(out), *TINY])
-    assert code == 1
+    # without CIBM there are no mixing weights, so no omega CSV
+    gsm_run, gsm_out = tmp_path / "gsm-run", tmp_path / "gsm-inspect"
+    assert main(["train", "--seed", "0", "--no-use-cibm", "--out", str(gsm_run), *TINY]) == 0
+    assert main(["inspect", "--seed", "0", "--no-use-cibm", "--checkpoint",
+                 str(gsm_run / "model.ckpt"), "--out", str(gsm_out), *TINY]) == 0
+    assert list(gsm_out.glob("omega_stage*.csv")) == []
+    assert "omega_entropy" not in json.loads((gsm_out / "diagnostics.json").read_text())
+
+
+def test_inspect(inspected):
+    diagnostics = json.loads((inspected[0] / "diagnostics.json").read_text())
+    assert set(diagnostics) == {"prior_mu_std", "prior_sigma_mean", "kl", "probe_accuracy",
+                                "probe_majority_share", "omega_entropy"}
+    assert len(diagnostics["omega_entropy"]) == 3
 
 
 def test_config_file_plus_flag_overrides(tmp_path, capsys):
@@ -370,10 +393,10 @@ def test_missing_config_file_exits_2(tmp_path, capsys, command):
     (["generate", "--seed", "0", "--n-samples", "2", "--size", "16"], "plain", False),
     (["generate", "--seed", "0", "--n-samples", "2", "--size", "16"], "plain/x", False),
     (["train", "--seed", "0", *TINY], "plain/x", False),
-    (["inspect-band", *TINY], "plain", False),
+    (["inspect", "--seed", "0", *TINY], "plain", True),
     (["ablate-k", "--k-list", "4", *TINY], "plain/x.csv", False),
-    (["entropy", *TINY], "plain/x", True),
-    (["inspect-omega", *TINY], "plain", True),
+    (["inspect", "--seed", "0", *TINY], "plain/x", True),
+    (["inspect", "--seed", "0", *TINY], "plain/x/y", True),
 ], ids=["generate", "generate-under", "train-under", "inspect-band", "ablate-k-under",
         "entropy-under", "inspect-omega"])
 def test_out_through_a_regular_file_exits_2(run_dir, tmp_path, capsys, argv, out, checkpoint):
@@ -384,6 +407,14 @@ def test_out_through_a_regular_file_exits_2(run_dir, tmp_path, capsys, argv, out
     assert main([*argv, "--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(plain) in err
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--weight-decay"])
+def test_non_finite_rate_exits_2_before_loading_data(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.setattr(train, "load_dataset", lambda cfg: pytest.fail("the data was loaded"))
+    assert main(["train", "--seed", "0", flag, "nan", "--out", str(tmp_path / "run")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_divergence_exits_2(tmp_path, capsys):
@@ -497,8 +528,8 @@ def test_readme_commands_parse():
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("causalseg ")]
     assert {argv[0] for argv in commands} >= {
-        "ablate-modules", "ablate-k", "generate", "train", "evaluate", "entropy",
-        "inspect-band", "oracle", "gradcheck"}
+        "ablate-modules", "ablate-k", "generate", "train", "evaluate", "inspect",
+        "oracle", "gradcheck"}
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)

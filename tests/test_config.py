@@ -1,5 +1,7 @@
 """Config parsing, validation, hashing, and SCM file loading."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,10 @@ def test_load_train_config_rejects_bad_bool(tmp_path):
     ("schedule", "linear", "schedule"),
     ("size", 20, "multiple of 8"),
     ("n_samples", 1, "n_samples"),
+    ("lr", math.nan, "lr must be finite"),
+    ("lr", math.inf, "lr must be finite"),
+    ("weight_decay", math.nan, "weight_decay must be finite"),
+    ("weight_decay", math.inf, "weight_decay must be finite"),
 ])
 def test_validate_rejects(field, value, match):
     cfg = TrainConfig(**{field: value})

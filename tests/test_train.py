@@ -2,6 +2,7 @@
 
 import csv
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from causalseg import boundary
 from causalseg import tensor as T
 from causalseg import train
 from causalseg.config import ModelConfig, TrainConfig
-from causalseg.data import DatasetError, SampleRecord, generate_synthetic
+from causalseg.data import DatasetError, SampleRecord, generate_synthetic, split_dataset
 from causalseg.model import SegModel
 from causalseg.train import (
     SGD,
@@ -228,6 +229,19 @@ def test_resume_after_a_crash_between_csv_row_and_checkpoint(tmp_path, monkeypat
     assert resumed_csv.read_bytes() == straight_csv.read_bytes()
 
 
+def test_resume_refuses_a_csv_shorter_than_the_checkpoint(tmp_path):
+    cfg = TrainConfig(**{**TINY, "epochs": 2}).validate()
+    csv_path, ckpt = tmp_path / "metrics.csv", tmp_path / "model.ckpt"
+    fit(cfg, csv_path=csv_path, checkpoint_path=ckpt)
+    short = b"".join(csv_path.read_bytes().splitlines(keepends=True)[:-1])  # epoch 1's row lost
+    csv_path.write_bytes(short)
+    saved = ckpt.read_bytes()
+    with pytest.raises(TrainingError, match=re.escape(
+            f"{csv_path} has 1 complete rows, but the checkpoint is at epoch 2")):
+        fit(replace(cfg, epochs=3), csv_path=csv_path, checkpoint_path=ckpt, resume=ckpt)
+    assert csv_path.read_bytes() == short and ckpt.read_bytes() == saved
+
+
 def test_resume_rejects_finished_run(tmp_path):
     cfg = TrainConfig(**TINY).validate()
     ckpt = tmp_path / "model.ckpt"
@@ -355,6 +369,24 @@ def test_evaluate_deterministic_by_default():
     assert a[1] == b[1]
     assert len(a[0]) == 3
     assert set(a[1]) == {"dice", "iou", "fdr", "auc"}
+
+
+def test_diagnose_fresh_models():
+    cfg = TrainConfig(**TINY).validate()
+    train_records, test_records = split_dataset(
+        generate_synthetic(cfg.n_samples, cfg.size, cfg.seed), cfg.split_fraction, cfg.seed)
+    full = SegModel(cfg.model_config(), cfg.seed)
+    out = train.diagnose(full, train_records, test_records)
+    # zero omega logits: every row is uniform over the K features
+    np.testing.assert_allclose(out["omega_entropy"], [np.log(cfg.k)] * 3, rtol=0, atol=1e-6)
+    assert {"prior_mu_std", "prior_sigma_mean", "kl", "probe_accuracy",
+            "probe_majority_share"} <= set(out)
+
+    untagged = [replace(rec, confounder_tag=-1) for rec in train_records]
+    assert not {"probe_accuracy", "probe_majority_share"} & set(
+        train.diagnose(full, untagged, test_records))
+    backbone = SegModel(replace(cfg, use_gsm=False, use_cibm=False).model_config(), cfg.seed)
+    assert train.diagnose(backbone, train_records, test_records) == {}
 
 
 def _predict_case(**overrides):

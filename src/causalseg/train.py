@@ -7,7 +7,11 @@ replays the exact run an uninterrupted training would have produced.
 """
 
 import csv
+import io
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass, replace
 from functools import reduce
 from pathlib import Path
@@ -136,13 +140,42 @@ class FitResult:
     test_records: list
 
 
+def _predict_into(model: SegModel, images: np.ndarray, batch: int, out: np.ndarray):
+    for i in range(0, len(images), batch):
+        out[i:i + batch] = model.forward(images[i:i + batch], training=False).pred.data[:, 0]
+
+
 def predict(model: SegModel, images, batch: int) -> np.ndarray:
     """Inference probabilities (N,H,W) for (N,H,W) images, ``batch`` per forward;
-    the latents are the distribution means, so ``batch`` does not change them."""
+    the latents are the distribution means, so ``batch`` does not change them.
+    With two usable cores a forked child computes the later half of the batches;
+    the bytes, and any error, are those of the sequential loop."""
     images = np.asarray(images, dtype=model.dtype)
-    preds = [model.forward(images[i:i + batch], training=False).pred.data[:, 0]
-             for i in range(0, len(images), batch)]
-    return np.concatenate(preds) if preds else np.zeros(images.shape, dtype=model.dtype)
+    out = np.zeros(images.shape, dtype=model.dtype)
+    cut = -(-len(images) // (2 * batch)) * batch  # the first ceil(batches / 2) batches
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cut >= len(images) or cores < 2 or not hasattr(os, "fork"):
+        _predict_into(model, images, batch, out)
+        return out
+    shared = np.frombuffer(mmap.mmap(-1, out[cut:].nbytes), out.dtype).reshape(out[cut:].shape)
+    pid = os.fork()
+    if pid == 0:  # the child leaves through os._exit on every path
+        try:
+            _predict_into(model, images[cut:], batch, shared)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    try:
+        _predict_into(model, images[:cut], batch, out[:cut])
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    out[cut:] = shared
+    if status:  # the child failed: its half, or the error it met, comes from here
+        _predict_into(model, images[cut:], batch, out[cut:])
+    return out
 
 
 def evaluate_model(model: SegModel, records, cfg: TrainConfig) -> tuple[list, dict]:
@@ -223,9 +256,10 @@ def restore_training_state(ckpt: Checkpoint, model: SegModel, opt: SGD) -> int:
 
 
 def _truncate_rows(path, rows: int):
-    """Cut a CSV file to its header line plus its first ``rows`` rows; a file
-    with fewer complete rows raises TrainingError and is left as it is."""
-    with open(path, "r+b") as fh:
+    """Cut a CSV file to its header line plus its first ``rows`` rows; a
+    missing file, or one with fewer complete rows, raises TrainingError and
+    is left as it is."""
+    with open(path, "r+b") if Path(path).exists() else io.BytesIO() as fh:
         complete = sum(fh.readline().endswith(b"\n") for _ in range(rows + 1)) - 1
         if complete < rows:
             raise TrainingError(f"{path} has {max(complete, 0)} complete rows, "
@@ -254,6 +288,9 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
         if start_epoch >= cfg.epochs:
             raise TrainingError(
                 f"checkpoint already at epoch {start_epoch} of {cfg.epochs}")
+        if csv_path is not None:
+            # rows written after the checkpoint was saved are replayed below
+            _truncate_rows(csv_path, start_epoch)
 
     # the train split as (N,1,H,W) planes, with one band per record: the
     # augmenting symmetries carry a mask's band to the transformed mask's band
@@ -270,13 +307,9 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
         if path is not None:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
     if csv_path is not None:
-        mode = "a" if (resume is not None and Path(csv_path).exists()) else "w"
-        if mode == "a":
-            # rows written after the checkpoint was saved are replayed below
-            _truncate_rows(csv_path, start_epoch)
-        csv_file = open(csv_path, mode, newline="")
+        csv_file = open(csv_path, "w" if resume is None else "a", newline="")
         writer = csv.DictWriter(csv_file, fieldnames=METRICS_COLUMNS)
-        if mode == "w":
+        if resume is None:
             writer.writeheader()
 
     try:

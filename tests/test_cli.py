@@ -122,6 +122,17 @@ def test_train_resume_extends_csv(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
 
 
+def test_train_resume_into_a_new_out_dir_exits_2(tmp_path, capsys):
+    first, second = tmp_path / "runA", tmp_path / "runB"
+    assert main(["train", "--seed", "0", "--out", str(first), *TINY]) == 0
+    capsys.readouterr()
+    assert main(["train", "--seed", "0", "--out", str(second), *TINY, "--epochs", "3",
+                 "--resume", str(first / "model.ckpt")]) == 2
+    assert capsys.readouterr().err == (f"error: {second / 'metrics.csv'} has 0 complete rows, "
+                                       "but the checkpoint is at epoch 2\n")
+    assert not second.exists()
+
+
 def test_evaluate_emits_csv(run_dir, tmp_path, capsys):
     out = tmp_path / "sub" / "eval.csv"  # the directory is made for it
     code = main(["evaluate", "--seed", "0", "--checkpoint", str(run_dir / "model.ckpt"),

@@ -1,7 +1,9 @@
 """Training loop: schedules, optimizer math, resume determinism, drivers."""
 
 import csv
+import os
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -242,6 +244,20 @@ def test_resume_refuses_a_csv_shorter_than_the_checkpoint(tmp_path):
     assert csv_path.read_bytes() == short and ckpt.read_bytes() == saved
 
 
+def test_resume_refuses_a_missing_csv(tmp_path, monkeypatch):
+    cfg = TrainConfig(**{**TINY, "epochs": 2}).validate()
+    ckpt = tmp_path / "model.ckpt"
+    fit(cfg, csv_path=tmp_path / "metrics.csv", checkpoint_path=ckpt)
+    steps = []
+    monkeypatch.setattr(SGD, "step", lambda self, lr: steps.append(lr))
+    fresh = tmp_path / "fresh" / "metrics.csv"
+    with pytest.raises(TrainingError, match=re.escape(
+            f"{fresh} has 0 complete rows, but the checkpoint is at epoch 2")):
+        fit(replace(cfg, epochs=3), csv_path=fresh, checkpoint_path=tmp_path / "fresh" / "m.ckpt",
+            resume=ckpt)
+    assert not steps and not fresh.parent.exists()
+
+
 def test_resume_rejects_finished_run(tmp_path):
     cfg = TrainConfig(**TINY).validate()
     ckpt = tmp_path / "model.ckpt"
@@ -404,6 +420,129 @@ def test_predict_does_not_depend_on_batch_size():
     np.testing.assert_allclose(batched, one, rtol=1e-5, atol=1e-5)
     single = model.forward(images[:1, None], training=False).pred.data[0, 0]
     np.testing.assert_allclose(one[0], single, rtol=1e-5, atol=1e-5)
+
+
+def _sequential_predict(model, images, batch):
+    """The one-process per-batch loop that ``predict`` must reproduce byte for byte."""
+    images = np.asarray(images, dtype=model.dtype)
+    preds = [model.forward(images[i:i + batch], training=False).pred.data[:, 0]
+             for i in range(0, len(images), batch)]
+    return np.concatenate(preds) if preds else np.zeros(images.shape, dtype=model.dtype)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable cores whatever the host has, and a count of ``os.fork`` calls."""
+    count = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: count.append(1) or real_fork())
+    return count
+
+
+@pytest.fixture(scope="module")
+def predict_models():
+    cfg = TrainConfig(**TINY).validate()
+    images = np.stack([r.image for r in generate_synthetic(77, cfg.size, cfg.seed)])
+    return images, {dtype: SegModel(cfg.model_config(), cfg.seed, dtype=dtype)
+                    for dtype in (np.float32, np.float64)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("count", [lambda b: 1, lambda b: b - 1, lambda b: b, lambda b: b + 1,
+                                   lambda b: 2 * b + 3, lambda b: 77],
+                         ids=["1", "batch-1", "batch", "batch+1", "2batch+3", "77"])
+def test_predict_equals_the_sequential_loop(predict_models, forks, count, batch, dtype):
+    images, models = predict_models
+    n, model = count(batch), models[dtype]
+    out = predict(model, images[:n], batch)
+    _assert_no_child_left()
+    assert out.dtype == dtype and out.shape == images[:n].shape
+    assert np.array_equal(out, _sequential_predict(model, images[:n], batch))
+    assert len(forks) == (n > batch)  # one child once there are two batches
+
+
+@pytest.mark.parametrize("no_second_core", ["one core", "no fork", "no affinity"])
+def test_predict_runs_in_one_process_without_a_second_core(
+        predict_models, forks, monkeypatch, no_second_core):
+    images, models = predict_models
+    if no_second_core == "one core":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(os, "fork" if no_second_core == "no fork" else "sched_getaffinity")
+    out = predict(models[np.float32], images[:20], 4)
+    assert np.array_equal(out, _sequential_predict(models[np.float32], images[:20], 4))
+    assert not forks
+
+
+def _marked(images, index):
+    """A copy of ``images`` whose image ``index`` a patched forward refuses."""
+    images = images.copy()
+    images[index] = 2.0
+    return images
+
+
+def _refusing_forward(real_forward, error):
+    def forward(self, images, *args, **kwargs):
+        if (images == 2.0).any():
+            raise error(f"refused a batch of {len(images)} at {images.shape[-1]} px")
+        return real_forward(self, images, *args, **kwargs)
+    return forward
+
+
+@pytest.mark.parametrize("index", [2, 17], ids=["first-half", "second-half"])
+def test_predict_raises_the_error_of_the_sequential_loop(predict_models, forks, monkeypatch,
+                                                         index):
+    images, models = predict_models
+    images = _marked(images[:20], index)  # 5 batches of 4: the parent computes 0-11
+    monkeypatch.setattr(SegModel, "forward", _refusing_forward(SegModel.forward, T.NonFiniteError))
+    with pytest.raises(T.NonFiniteError) as sequential:
+        _sequential_predict(models[np.float32], images, 4)
+    with pytest.raises(T.NonFiniteError) as forked:
+        predict(models[np.float32], images, 4)
+    _assert_no_child_left()
+    assert len(forks) == 1
+    assert str(forked.value) == str(sequential.value) == "refused a batch of 4 at 16 px"
+
+
+def test_predict_interrupted_in_the_parent_kills_the_child(predict_models, forks, monkeypatch):
+    images, models = predict_models
+    parent, real_forward = os.getpid(), SegModel.forward
+
+    def forward(self, images, *args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # the child would hold predict for a minute if it were awaited
+        return real_forward(self, images, *args, **kwargs)
+
+    monkeypatch.setattr(SegModel, "forward", forward)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        predict(models[np.float32], images[:20], 4)
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
+
+
+def test_predict_recomputes_the_half_of_a_child_that_dies(predict_models, forks, monkeypatch):
+    images, models = predict_models
+    parent, real_forward = os.getpid(), SegModel.forward
+    expected = _sequential_predict(models[np.float64], images, 8)
+
+    def forward(self, images, *args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_forward(self, images, *args, **kwargs)
+
+    monkeypatch.setattr(SegModel, "forward", forward)
+    out = predict(models[np.float64], images, 8)
+    _assert_no_child_left()
+    assert len(forks) == 1 and np.array_equal(out, expected)
 
 
 def test_evaluate_empty_records():

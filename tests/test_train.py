@@ -481,27 +481,20 @@ def test_predict_runs_in_one_process_without_a_second_core(
     assert not forks
 
 
-def _marked(images, index):
-    """A copy of ``images`` whose image ``index`` a patched forward refuses."""
-    images = images.copy()
-    images[index] = 2.0
-    return images
-
-
-def _refusing_forward(real_forward, error):
-    def forward(self, images, *args, **kwargs):
-        if (images == 2.0).any():
-            raise error(f"refused a batch of {len(images)} at {images.shape[-1]} px")
-        return real_forward(self, images, *args, **kwargs)
-    return forward
-
-
 @pytest.mark.parametrize("index", [2, 17], ids=["first-half", "second-half"])
 def test_predict_raises_the_error_of_the_sequential_loop(predict_models, forks, monkeypatch,
                                                          index):
     images, models = predict_models
-    images = _marked(images[:20], index)  # 5 batches of 4: the parent computes 0-11
-    monkeypatch.setattr(SegModel, "forward", _refusing_forward(SegModel.forward, T.NonFiniteError))
+    images = images[:20].copy()  # 5 batches of 4: the parent computes images 0-11
+    images[index] = 2.0  # outside [0, 1]: a mark the patched forward refuses
+    real_forward = SegModel.forward
+
+    def forward(self, batch, *args, **kwargs):
+        if (batch == 2.0).any():
+            raise T.NonFiniteError(f"refused a batch of {len(batch)} at {batch.shape[-1]} px")
+        return real_forward(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(SegModel, "forward", forward)
     with pytest.raises(T.NonFiniteError) as sequential:
         _sequential_predict(models[np.float32], images, 4)
     with pytest.raises(T.NonFiniteError) as forked:

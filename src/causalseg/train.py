@@ -140,41 +140,53 @@ class FitResult:
     test_records: list
 
 
-def _predict_into(model: SegModel, images: np.ndarray, batch: int, out: np.ndarray):
-    for i in range(0, len(images), batch):
-        out[i:i + batch] = model.forward(images[i:i + batch], training=False).pred.data[:, 0]
+def _predict_claimed(model: SegModel, images: np.ndarray, batch: int, out: np.ndarray,
+                     claims: np.ndarray, side: int) -> int:
+    """Forward into ``out`` the batches this process claims; return how many it
+    claimed.  ``claims`` counts the batches claimed from the front (side 0) and
+    from the back (side 1); each side takes the next batch at its end until the
+    two meet.  A count read late makes both compute one batch, never neither."""
+    n = -(-len(images) // batch)
+    while claims[0] + claims[1] < n:
+        i = claims[0] if side == 0 else n - 1 - claims[1]
+        claims[side] += 1
+        rows = slice(i * batch, (i + 1) * batch)
+        out[rows] = model.forward(images[rows], training=False).pred.data[:, 0]
+    return int(claims[side])
 
 
 def predict(model: SegModel, images, batch: int) -> np.ndarray:
     """Inference probabilities (N,H,W) for (N,H,W) images, ``batch`` per forward;
     the latents are the distribution means, so ``batch`` does not change them.
-    With two usable cores a forked child computes the later half of the batches;
-    the bytes, and any error, are those of the sequential loop."""
+    With two usable cores a forked child computes batches from the back while
+    this process computes them from the front, until they meet; the bytes, and
+    any error, are those of the sequential loop."""
     images = np.asarray(images, dtype=model.dtype)
     out = np.zeros(images.shape, dtype=model.dtype)
-    cut = -(-len(images) // (2 * batch)) * batch  # the first ceil(batches / 2) batches
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cut >= len(images) or cores < 2 or not hasattr(os, "fork"):
-        _predict_into(model, images, batch, out)
+    if len(images) <= batch or cores < 2 or not hasattr(os, "fork"):
+        _predict_claimed(model, images, batch, out, np.zeros(2, np.int64), 0)
         return out
-    shared = np.frombuffer(mmap.mmap(-1, out[cut:].nbytes), out.dtype).reshape(out[cut:].shape)
+    buf = mmap.mmap(-1, 16 + out.nbytes)  # the two claim counts, then the child's batches
+    claims = np.frombuffer(buf, np.int64, 2)
+    shared = np.frombuffer(buf, out.dtype, out.size, 16).reshape(out.shape)
     pid = os.fork()
     if pid == 0:  # the child leaves through os._exit on every path
         try:
-            _predict_into(model, images[cut:], batch, shared)
+            _predict_claimed(model, images, batch, shared, claims, 1)
             os._exit(0)
         finally:
             os._exit(1)
     try:
-        _predict_into(model, images[:cut], batch, out[:cut])
+        front = _predict_claimed(model, images, batch, out, claims, 0)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
         status = os.waitpid(pid, 0)[1]
-    out[cut:] = shared
-    if status:  # the child failed: its half, or the error it met, comes from here
-        _predict_into(model, images[cut:], batch, out[cut:])
+    out[front * batch:] = shared[front * batch:]
+    if status:  # the child failed: its batches, or the error it met, come from here
+        _predict_claimed(model, images, batch, out, np.array([front, 0]), 0)
     return out
 
 

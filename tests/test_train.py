@@ -485,7 +485,7 @@ def test_predict_runs_in_one_process_without_a_second_core(
 def test_predict_raises_the_error_of_the_sequential_loop(predict_models, forks, monkeypatch,
                                                          index):
     images, models = predict_models
-    images = images[:20].copy()  # 5 batches of 4: the parent computes images 0-11
+    images = images[:20].copy()  # 5 batches of 4: the parent starts at image 0, the child at 16
     images[index] = 2.0  # outside [0, 1]: a mark the patched forward refuses
     real_forward = SegModel.forward
 
@@ -502,6 +502,41 @@ def test_predict_raises_the_error_of_the_sequential_loop(predict_models, forks, 
     _assert_no_child_left()
     assert len(forks) == 1
     assert str(forked.value) == str(sequential.value) == "refused a batch of 4 at 16 px"
+
+
+@pytest.mark.parametrize("slow", ["parent", "child"])
+def test_predict_gives_the_same_bytes_wherever_the_processes_meet(predict_models, forks,
+                                                                  monkeypatch, slow):
+    """A slow side leaves the other almost every batch: the two claims then
+    meet at either end of the batches."""
+    images, models = predict_models
+    expected = _sequential_predict(models[np.float32], images, 8)
+    parent, real_forward = os.getpid(), SegModel.forward
+
+    def forward(self, batch, *args, **kwargs):
+        if (os.getpid() == parent) == (slow == "parent"):
+            time.sleep(0.05)
+        return real_forward(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(SegModel, "forward", forward)
+    out = predict(models[np.float32], images, 8)
+    _assert_no_child_left()
+    assert len(forks) == 1 and np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("claims", [(0, 0), (4, 0), (3, 4), (9, 0), (0, 9)])
+def test_predict_claims_cover_the_batches_between_the_claims(predict_models, claims):
+    """Given the counts claimed from the front and from the back, either side
+    alone computes every batch between them, and only those."""
+    images, models = predict_models
+    expected = _sequential_predict(models[np.float32], images, 8)
+    lo, hi = claims[0] * 8, (10 - claims[1]) * 8  # 77 images: 10 batches of 8
+    for side in (0, 1):
+        out = np.zeros_like(expected)
+        last = train._predict_claimed(models[np.float32], images, 8, out, np.array(claims), side)
+        assert last == 10 - claims[1 - side]
+        assert np.array_equal(out[lo:hi], expected[lo:hi])
+        assert not out[:lo].any() and not out[hi:].any()
 
 
 def test_predict_interrupted_in_the_parent_kills_the_child(predict_models, forks, monkeypatch):

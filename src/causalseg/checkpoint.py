@@ -1,7 +1,7 @@
 """Checkpoints as numpy ``.npz`` archives that ``np.load(path)`` reads: one
-little-endian float32 or float64 member per array, plus ``meta.k`` (int64)
-and ``meta.config_hash`` (32 uint8).  Round trips are bit-identical, and
-saving the same arrays twice writes the same bytes."""
+little-endian float32 or float64 member per array, plus ``meta.k`` (int64) and
+``meta.config_hash`` (32 uint8); round trips and repeat saves are bit-identical.
+``write_atomic`` is the one write path for a run's files: checkpoint and CSVs."""
 
 import io
 import lzma
@@ -32,9 +32,31 @@ class Checkpoint:
     arrays: dict
 
 
+def write_atomic(path, write):
+    """Call ``write(fh)`` on a binary temp file beside ``path``, then flush,
+    fsync and rename it over ``path`` and fsync the directory, which is made
+    if missing: a crash at any point leaves the previous file or the new one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    fd = os.open(path.parent, os.O_RDONLY)  # the rename itself is durable once this syncs
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def save_checkpoint(path, arrays: dict, k: int, config_hash: bytes):
-    """Write atomically: a temp file beside ``path`` is flushed, fsynced and
-    renamed over it, so a crash mid-write leaves the previous file intact."""
+    """Save through ``write_atomic``: a crash mid-write leaves the previous file."""
     if len(config_hash) != HASH_BYTES:
         raise CheckpointError(f"config hash must be {HASH_BYTES} bytes, got {len(config_hash)}")
     members = {}
@@ -46,17 +68,7 @@ def save_checkpoint(path, arrays: dict, k: int, config_hash: bytes):
         if arr.dtype not in _FLOATS:
             raise CheckpointError(f"{name}: unsupported dtype {arr.dtype}")
     members.update(zip(_META, (np.int64(k), np.frombuffer(config_hash, dtype=np.uint8))))
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **members)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, lambda fh: np.savez(fh, **members))
 
 
 def load_checkpoint(path) -> Checkpoint:

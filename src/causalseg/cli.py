@@ -101,7 +101,7 @@ def cmd_ingest_check(args):
 
 def cmd_train(args):
     cfg = _config_from_args(args)
-    out = Path(args.out)  # fit makes it once the data and any --resume have loaded
+    out = Path(args.out)  # fit's first write, after the first epoch, makes it
     result = fit(cfg, csv_path=out / "metrics.csv", checkpoint_path=out / "model.ckpt",
                  resume=args.resume, log=print)
     final = result.history[-1].test if result.history else {}

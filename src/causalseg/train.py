@@ -21,7 +21,7 @@ from scipy.special import entr
 
 from . import boundary, tensor as T
 from .boundary import usd_batch
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, write_atomic
 from .config import TrainConfig
 from .data import DatasetError, augment_batch, batches, generate_synthetic, ingest, split_dataset
 from .gsm import extract_posterior, extract_prior, kl_loss
@@ -267,16 +267,28 @@ def restore_training_state(ckpt: Checkpoint, model: SegModel, opt: SGD) -> int:
     return int(ckpt.arrays["meta.epoch"][0])
 
 
-def _truncate_rows(path, rows: int):
-    """Cut a CSV file to its header line plus its first ``rows`` rows; a
-    missing file, or one with fewer complete rows, raises TrainingError and
-    is left as it is."""
-    with open(path, "r+b") if Path(path).exists() else io.BytesIO() as fh:
-        complete = sum(fh.readline().endswith(b"\n") for _ in range(rows + 1)) - 1
-        if complete < rows:
-            raise TrainingError(f"{path} has {max(complete, 0)} complete rows, "
-                                f"but the checkpoint is at epoch {rows}")
-        fh.truncate()
+def write_rows(csv_path, rows):
+    """CSV of dict rows, header from the first row's keys, through ``write_atomic``."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=tuple(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    write_atomic(csv_path, lambda fh: fh.write(text.getvalue().encode()))
+
+
+def _read_rows(path, rows: int) -> list:
+    """The first ``rows`` rows of a metrics CSV as dicts; a header other than
+    METRICS_COLUMNS, or fewer full rows (none if it is missing), raises TrainingError."""
+    text = Path(path).read_text() if Path(path).exists() else ""
+    *lines, _ = text.split("\n")  # the last piece is an unterminated tail, or ""
+    table = list(csv.reader(lines[:rows + 1]))
+    if table and tuple(table[0]) != METRICS_COLUMNS:
+        raise TrainingError(f"{path} is not a metrics CSV: its header is {','.join(table[0])!r}")
+    complete = [row for row in table[1:] if len(row) == len(METRICS_COLUMNS)]
+    if len(complete) < rows:
+        raise TrainingError(f"{path} has {len(complete)} complete rows, "
+                            f"but the checkpoint is at epoch {rows}")
+    return [dict(zip(METRICS_COLUMNS, row)) for row in complete]
 
 
 def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
@@ -294,7 +306,7 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
     train_records, test_records = split_dataset(records, cfg.split_fraction, cfg.seed)
     model = SegModel(cfg.model_config(), cfg.seed)
     opt = SGD(model.registry, cfg.momentum, cfg.weight_decay)
-    start_epoch = 0
+    start_epoch, earlier_rows = 0, []
     if resume is not None:
         start_epoch = restore_training_state(load_checkpoint(resume), model, opt)
         if start_epoch >= cfg.epochs:
@@ -302,7 +314,7 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
                 f"checkpoint already at epoch {start_epoch} of {cfg.epochs}")
         if csv_path is not None:
             # rows written after the checkpoint was saved are replayed below
-            _truncate_rows(csv_path, start_epoch)
+            earlier_rows = _read_rows(csv_path, start_epoch)
 
     # the train split as (N,1,H,W) planes, with one band per record: the
     # augmenting symmetries carry a mask's band to the transformed mask's band
@@ -312,18 +324,6 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
         planes.append(boundary.boundary_band(planes[1], cfg.band_width))
 
     history = []
-    writer = None
-    csv_file = None
-    # the output directories are made only once the data and any resume state have loaded
-    for path in (csv_path, checkpoint_path):
-        if path is not None:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
-    if csv_path is not None:
-        csv_file = open(csv_path, "w" if resume is None else "a", newline="")
-        writer = csv.DictWriter(csv_file, fieldnames=METRICS_COLUMNS)
-        if resume is None:
-            writer.writeheader()
-
     try:
         # every non-finite value ends in a named error, so numpy's warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
@@ -353,9 +353,8 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
                 _, test_mean = evaluate_model(model, test_records, cfg)
                 stats = EpochStats(epoch=epoch, losses=losses, test=test_mean)
                 history.append(stats)
-                if writer is not None:
-                    writer.writerow(stats.row())
-                    csv_file.flush()
+                if csv_path is not None:  # before the checkpoint: a resume replays what it lacks
+                    write_rows(csv_path, [*earlier_rows, *(h.row() for h in history)])
                 if checkpoint_path is not None:
                     save_training_state(checkpoint_path, model, opt, epoch + 1)
                 if log is not None:
@@ -373,9 +372,6 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
             name = max(peaks, key=peaks.get)
             message += f"; largest parameter {name}, max |value| {peaks[name]:.3g}"
         raise TrainingError(message) from exc
-    finally:
-        if csv_file is not None:
-            csv_file.close()
     return FitResult(model=model, optimizer=opt, history=history,
                      train_records=train_records, test_records=test_records)
 
@@ -414,15 +410,6 @@ def gradient_check(k=8, size=32, batch=2, seed=0, band_width=2,
 
 
 # -- ablations ---------------------------------------------------------------
-
-def write_rows(csv_path, rows):
-    """CSV of dict rows, header from the first row's keys; makes the directory."""
-    Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=tuple(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-
 
 MODULE_VARIANTS = tuple(
     ({"variant": name, "use_gsm": int(gsm), "use_cibm": int(cibm)},

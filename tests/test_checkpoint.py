@@ -3,6 +3,7 @@
 import gc
 import io
 import os
+import stat
 import struct
 import warnings
 import zipfile
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalseg.checkpoint import HASH_BYTES, CheckpointError, load_checkpoint, save_checkpoint
+from causalseg.checkpoint import (HASH_BYTES, CheckpointError, load_checkpoint, save_checkpoint,
+                                  write_atomic)
 from causalseg.rngs import derive_rng
+from causalseg.train import write_rows
 
 HASH = bytes(range(HASH_BYTES))
 
@@ -128,6 +131,30 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failur
     assert path.read_bytes() == before
     assert load_checkpoint(path).arrays.keys() == _arrays().keys()
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_failed_write_rows_keeps_the_previous_csv(tmp_path, monkeypatch):
+    path = tmp_path / "metrics.csv"
+    write_rows(path, [{"epoch": 0, "dice": 0.5}])
+    before = path.read_bytes()
+
+    def fail(_fd):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_rows(path, [{"epoch": 0, "dice": 0.5}, {"epoch": 1, "dice": 0.25}])
+    assert path.read_bytes() == before == b"epoch,dice\r\n0,0.5\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+
+def test_write_atomic_makes_the_directory_and_fsyncs_file_then_directory(tmp_path, monkeypatch):
+    synced, real_fsync = [], os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(
+        stat.S_ISDIR(os.fstat(fd).st_mode)) or real_fsync(fd))
+    path = tmp_path / "a" / "b" / "x.bin"
+    write_atomic(path, lambda fh: fh.write(b"new"))
+    assert path.read_bytes() == b"new" and synced == [False, True]
+    assert [p.name for p in path.parent.iterdir()] == ["x.bin"]
 
 
 @pytest.mark.parametrize("name", ["meta.k", "meta.config_hash", "file", "allow_pickle"])

@@ -122,6 +122,20 @@ def test_train_resume_extends_csv(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
 
 
+def test_train_resume_under_another_csv_header_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--seed", "0", "--out", str(out), *TINY]) == 0
+    (out / "metrics.csv").write_text("stem,dice,iou,fdr,auc\n")
+    saved = (out / "model.ckpt").read_bytes()
+    capsys.readouterr()
+    assert main(["train", "--seed", "0", "--out", str(out), *TINY, "--epochs", "3",
+                 "--resume", str(out / "model.ckpt")]) == 2
+    assert capsys.readouterr().err == (f"error: {out / 'metrics.csv'} is not a metrics CSV: "
+                                       "its header is 'stem,dice,iou,fdr,auc'\n")
+    assert (out / "metrics.csv").read_text() == "stem,dice,iou,fdr,auc\n"
+    assert (out / "model.ckpt").read_bytes() == saved
+
+
 def test_train_resume_into_a_new_out_dir_exits_2(tmp_path, capsys):
     first, second = tmp_path / "runA", tmp_path / "runB"
     assert main(["train", "--seed", "0", "--out", str(first), *TINY]) == 0

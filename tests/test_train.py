@@ -244,6 +244,20 @@ def test_resume_refuses_a_csv_shorter_than_the_checkpoint(tmp_path):
     assert csv_path.read_bytes() == short and ckpt.read_bytes() == saved
 
 
+def test_resume_refuses_a_csv_row_cut_short(tmp_path):
+    # a row cut to 5 of its 10 fields is not a complete row, even with its line end
+    cfg = TrainConfig(**{**TINY, "epochs": 2}).validate()
+    csv_path, ckpt = tmp_path / "metrics.csv", tmp_path / "model.ckpt"
+    fit(cfg, csv_path=csv_path, checkpoint_path=ckpt)
+    header, first, second = csv_path.read_bytes().splitlines(keepends=True)
+    cut = b"".join([header, b",".join(first.split(b",")[:5]) + b"\r\n", second])
+    csv_path.write_bytes(cut)
+    with pytest.raises(TrainingError, match=re.escape(
+            f"{csv_path} has 1 complete rows, but the checkpoint is at epoch 2")):
+        fit(replace(cfg, epochs=3), csv_path=csv_path, checkpoint_path=ckpt, resume=ckpt)
+    assert csv_path.read_bytes() == cut
+
+
 def test_resume_refuses_a_missing_csv(tmp_path, monkeypatch):
     cfg = TrainConfig(**{**TINY, "epochs": 2}).validate()
     ckpt = tmp_path / "model.ckpt"
@@ -256,6 +270,80 @@ def test_resume_refuses_a_missing_csv(tmp_path, monkeypatch):
         fit(replace(cfg, epochs=3), csv_path=fresh, checkpoint_path=tmp_path / "fresh" / "m.ckpt",
             resume=ckpt)
     assert not steps and not fresh.parent.exists()
+
+
+def test_resume_refuses_a_csv_with_another_header(tmp_path, monkeypatch):
+    # the header of an evaluate --out CSV
+    cfg = TrainConfig(**{**TINY, "epochs": 2}).validate()
+    csv_path, ckpt = tmp_path / "metrics.csv", tmp_path / "model.ckpt"
+    fit(cfg, csv_path=csv_path, checkpoint_path=ckpt)
+    header, *rows = csv_path.read_bytes().splitlines(keepends=True)
+    other = b"".join([b"stem,dice,iou,fdr,auc\r\n", *rows])
+    csv_path.write_bytes(other)
+    saved = ckpt.read_bytes()
+    steps = []
+    monkeypatch.setattr(SGD, "step", lambda self, lr: steps.append(lr))
+    with pytest.raises(TrainingError, match=re.escape(
+            f"{csv_path} is not a metrics CSV: its header is 'stem,dice,iou,fdr,auc'")):
+        fit(replace(cfg, epochs=3), csv_path=csv_path, checkpoint_path=ckpt, resume=ckpt)
+    assert not steps and csv_path.read_bytes() == other and ckpt.read_bytes() == saved
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "model.ckpt"]
+
+
+def _rows_and_epoch(csv_path, ckpt):
+    """The CSV's epoch column ([] if it is missing) and the checkpoint's epoch (None)."""
+    rows = []
+    if csv_path.exists():
+        with open(csv_path, newline="") as fh:
+            rows = [row[0] for row in csv.reader(fh)][1:]
+    epoch = int(load_checkpoint(ckpt).arrays["meta.epoch"][0]) if ckpt.exists() else None
+    return rows, epoch
+
+
+@pytest.mark.parametrize("name", ["fsync", "replace"])
+def test_a_crash_at_any_write_leaves_a_run_that_resumes_to_the_same_bytes(tmp_path, monkeypatch,
+                                                                          name):
+    # one test batch, so that predict runs in one process and only the crash ends the child
+    cfg = TrainConfig(**TINY).validate()
+    real, calls = getattr(os, name), []
+    monkeypatch.setattr(os, name, lambda *args: calls.append(1) or real(*args))
+    fit(cfg, csv_path=tmp_path / "metrics.csv", checkpoint_path=tmp_path / "model.ckpt")
+    monkeypatch.undo()
+    straight = [(tmp_path / f).read_bytes() for f in ("metrics.csv", "model.ckpt")]
+    # each epoch writes two files: one rename, and an fsync of the file and of its directory
+    assert len(calls) == {"fsync": 4, "replace": 2}[name] * cfg.epochs
+
+    def crash_on(n):
+        count = []
+
+        def crash(*args):
+            count.append(1)
+            if len(count) == n:
+                os._exit(9)
+            return real(*args)
+        return crash
+
+    for n in range(1, len(calls) + 1):
+        run = tmp_path / f"crash{n}"
+        csv_path, ckpt = run / "metrics.csv", run / "model.ckpt"
+        pid = os.fork()
+        if pid == 0:  # the child leaves through os._exit on every path
+            try:
+                setattr(os, name, crash_on(n))
+                fit(cfg, csv_path=csv_path, checkpoint_path=ckpt)
+            finally:
+                os._exit(1)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 9, n
+        rows, epoch = _rows_and_epoch(csv_path, ckpt)
+        if epoch is None:  # no checkpoint yet: start again
+            fit(cfg, csv_path=csv_path, checkpoint_path=ckpt)
+        else:
+            # the CSV is written first, so it holds the checkpoint's epochs and at most one more
+            assert rows[:epoch] == [str(e) for e in range(epoch)] and len(rows) <= epoch + 1, n
+            if epoch < cfg.epochs:
+                fit(cfg, csv_path=csv_path, checkpoint_path=ckpt, resume=ckpt)
+        assert [(run / f).read_bytes() for f in ("metrics.csv", "model.ckpt")] == straight, n
+        assert sorted(p.name for p in run.iterdir()) == ["metrics.csv", "model.ckpt"], n
 
 
 def test_resume_rejects_finished_run(tmp_path):

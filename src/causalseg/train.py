@@ -6,6 +6,7 @@ augmentation draws, latent noise) comes from a generator derived from
 replays the exact run an uninterrupted training would have produced.
 """
 
+import atexit
 import csv
 import io
 import math
@@ -14,6 +15,7 @@ import os
 import signal
 from dataclasses import dataclass, replace
 from functools import reduce
+from multiprocessing import Pipe
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from scipy.special import entr
 from . import boundary, tensor as T
 from .boundary import usd_batch
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, write_atomic
-from .config import TrainConfig
+from .config import ModelConfig, TrainConfig
 from .data import DatasetError, augment_batch, batches, generate_synthetic, ingest, split_dataset
 from .gsm import extract_posterior, extract_prior, kl_loss
 from .losses import bce_loss, dice_loss, metrics
@@ -155,38 +157,78 @@ def _predict_claimed(model: SegModel, images: np.ndarray, batch: int, out: np.nd
     return int(claims[side])
 
 
+_helper = None  # (owner pid, helper pid, connection, claims): this process's evaluation helper
+
+
+def _fork_helper() -> tuple:
+    """Fork the helper, which computes each ``predict`` call's batches from the back
+    under the caller's error state, until EOF or until its owner is gone."""
+    claims = np.frombuffer(mmap.mmap(-1, 16), np.int64, 2)  # shared front and back counts
+    ours, theirs = Pipe()
+    owner, pid = os.getpid(), os.fork()
+    if pid:
+        theirs.close()
+        return owner, pid, ours, claims
+    try:  # the helper leaves through os._exit on every path, an error or EOF included
+        ours.close()
+        model = None
+        while os.getppid() == owner:
+            if theirs.poll(1.0):
+                config, dtype, params, images, batch, err = theirs.recv()
+                if model is None or (model.config, model.dtype) != (config, dtype):
+                    model = SegModel(config, 0, dtype)
+                for t, data in zip(model.registry.tensors.values(), params):
+                    t.data[...] = data
+                out = np.empty_like(images)
+                with np.errstate(**err):  # not the state this process was forked under
+                    back = _predict_claimed(model, images, batch, out, claims, 1)
+                first = (-(-len(images) // batch) - back) * batch
+                theirs.send((first, out[first:]))
+    finally:
+        os._exit(0)
+
+
+def close_helper():
+    """Kill and reap this process's evaluation helper; drop one inherited through os.fork."""
+    global _helper
+    if _helper is not None:
+        (owner, pid, conn, _), _helper = _helper, None
+        conn.close()
+        if owner == os.getpid():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+atexit.register(close_helper)
+
+
 def predict(model: SegModel, images, batch: int) -> np.ndarray:
     """Inference probabilities (N,H,W) for (N,H,W) images, ``batch`` per forward;
     the latents are the distribution means, so ``batch`` does not change them.
-    With two usable cores a forked child computes batches from the back while
-    this process computes them from the front, until they meet; the bytes, and
-    any error, are those of the sequential loop."""
+    With two usable cores this process's helper computes batches from the back
+    and this process from the front; the bytes and errors are the sequential loop's."""
+    global _helper
     images = np.asarray(images, dtype=model.dtype)
     out = np.zeros(images.shape, dtype=model.dtype)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(images) <= batch or cores < 2 or not hasattr(os, "fork"):
-        _predict_claimed(model, images, batch, out, np.zeros(2, np.int64), 0)
-        return out
-    buf = mmap.mmap(-1, 16 + out.nbytes)  # the two claim counts, then the child's batches
-    claims = np.frombuffer(buf, np.int64, 2)
-    shared = np.frombuffer(buf, out.dtype, out.size, 16).reshape(out.shape)
-    pid = os.fork()
-    if pid == 0:  # the child leaves through os._exit on every path
+    front = 0  # batches done here; the helper's, or all past these if it fails, come after
+    if len(images) > batch and cores > 1 and hasattr(os, "fork"):
+        if _helper is None or _helper[0] != os.getpid():  # an inherited one is dropped unused
+            _helper = _fork_helper()
+        conn, claims = _helper[2:]
+        claims[:] = 0
         try:
-            _predict_claimed(model, images, batch, shared, claims, 1)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    try:
-        front = _predict_claimed(model, images, batch, out, claims, 0)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    out[front * batch:] = shared[front * batch:]
-    if status:  # the child failed: its batches, or the error it met, come from here
-        _predict_claimed(model, images, batch, out, np.array([front, 0]), 0)
+            params = [t.data for t in model.registry.tensors.values()]
+            conn.send((model.config, model.dtype, params, images, batch, np.geterr()))
+            front = _predict_claimed(model, images, batch, out, claims, 0)
+            first, out[first:] = conn.recv()
+            return out
+        except (EOFError, OSError):  # the helper died: its batches, or its error, come from here
+            close_helper()
+        except BaseException:  # this process's batches raised or were interrupted
+            close_helper()
+            raise
+    _predict_claimed(model, images, batch, out, np.array([front, 0]), 0)
     return out
 
 
@@ -385,8 +427,6 @@ def gradient_check(k=8, size=32, batch=2, seed=0, band_width=2,
     Returns {part: max relative gradient error} for bce, dice, kl,
     usd, and total.
     """
-    from .config import ModelConfig
-
     records = generate_synthetic(batch, size, seed)
     images = np.stack([r.image[None] for r in records]).astype(np.float64)
     masks = np.stack([r.mask[None] for r in records]).astype(np.float64)

@@ -3,12 +3,17 @@
 import csv
 import os
 import re
+import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalseg
 from causalseg import boundary
 from causalseg import tensor as T
 from causalseg import train
@@ -525,7 +530,9 @@ def _assert_no_child_left():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Two usable cores whatever the host has, and a count of ``os.fork`` calls."""
+    """Two usable cores whatever the host has, a count of ``os.fork`` calls,
+    and no helper yet: the first ``predict`` forks one that sees the test's patches."""
+    train.close_helper()
     count = []
     real_fork = os.fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -550,10 +557,11 @@ def test_predict_equals_the_sequential_loop(predict_models, forks, count, batch,
     images, models = predict_models
     n, model = count(batch), models[dtype]
     out = predict(model, images[:n], batch)
+    train.close_helper()
     _assert_no_child_left()
     assert out.dtype == dtype and out.shape == images[:n].shape
     assert np.array_equal(out, _sequential_predict(model, images[:n], batch))
-    assert len(forks) == (n > batch)  # one child once there are two batches
+    assert len(forks) == (n > batch)  # the helper, once there are two batches
 
 
 @pytest.mark.parametrize("no_second_core", ["one core", "no fork", "no affinity"])
@@ -573,7 +581,7 @@ def test_predict_runs_in_one_process_without_a_second_core(
 def test_predict_raises_the_error_of_the_sequential_loop(predict_models, forks, monkeypatch,
                                                          index):
     images, models = predict_models
-    images = images[:20].copy()  # 5 batches of 4: the parent starts at image 0, the child at 16
+    images = images[:20].copy()  # 5 batches of 4: this process starts at image 0, the helper at 16
     images[index] = 2.0  # outside [0, 1]: a mark the patched forward refuses
     real_forward = SegModel.forward
 
@@ -608,6 +616,7 @@ def test_predict_gives_the_same_bytes_wherever_the_processes_meet(predict_models
 
     monkeypatch.setattr(SegModel, "forward", forward)
     out = predict(models[np.float32], images, 8)
+    train.close_helper()
     _assert_no_child_left()
     assert len(forks) == 1 and np.array_equal(out, expected)
 
@@ -634,7 +643,7 @@ def test_predict_interrupted_in_the_parent_kills_the_child(predict_models, forks
     def forward(self, images, *args, **kwargs):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        time.sleep(60)  # the child would hold predict for a minute if it were awaited
+        time.sleep(60)  # the helper would hold predict for a minute if it were awaited
         return real_forward(self, images, *args, **kwargs)
 
     monkeypatch.setattr(SegModel, "forward", forward)
@@ -659,6 +668,125 @@ def test_predict_recomputes_the_half_of_a_child_that_dies(predict_models, forks,
     out = predict(models[np.float64], images, 8)
     _assert_no_child_left()
     assert len(forks) == 1 and np.array_equal(out, expected)
+
+
+def test_predict_follows_the_weights_dtype_and_config_of_each_call(forks):
+    cfg = TrainConfig(**TINY).validate()
+    records = generate_synthetic(20, cfg.size, cfg.seed)
+    images, masks = (np.stack([getattr(r, f) for r in records]) for f in ("image", "mask"))
+    backbone, full = (replace(cfg, use_gsm=on, use_cibm=on) for on in (False, True))
+    runs = [(sub, SegModel(sub.model_config(), cfg.seed, dtype=dtype))
+            for sub, dtype in ((backbone, np.float32), (full, np.float64),
+                               (backbone, np.float64), (full, np.float32))]
+    for sub, model in runs * 2:  # config and dtype change from call to call
+        before = predict(model, images, 4)
+        assert np.array_equal(before, _sequential_predict(model, images, 4))
+        result = model.forward(images[:4], masks[:4], training=True, rng=derive_rng(0, "step"))
+        model.registry.zero_grad()
+        T.backward(compute_losses(result, masks[:4], sub)["total"])
+        SGD(model.registry, 0.0, 0.0).step(0.1)
+        after = predict(model, images, 4)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, _sequential_predict(model, images, 4))
+    assert len(forks) == 1  # one helper for all sixteen calls
+    train.close_helper()
+    _assert_no_child_left()
+
+
+def test_predict_runs_the_helper_under_the_callers_error_state(predict_models, forks):
+    images, models = predict_models
+    images = images[:20].copy()
+    images[19] = 1e38  # overflows float32 in the last batch, the helper's first
+    model = models[np.float32]
+    with np.errstate(all="ignore"):  # the helper is forked under fit's state
+        predict(model, images[:8], 4)
+    with np.errstate(over="raise"):
+        _sequential_predict(model, images[:16], 4)  # only the marked batch overflows
+        with pytest.raises(FloatingPointError) as sequential:
+            _sequential_predict(model, images, 4)
+        with pytest.raises(FloatingPointError) as helped:
+            predict(model, images, 4)
+    assert str(helped.value) == str(sequential.value)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_predict_in_a_forked_child_forks_its_own_helper(predict_models, forks):
+    images, models = predict_models
+    model = models[np.float32]
+    expected = _sequential_predict(model, images, 8)
+    assert np.array_equal(predict(model, images, 8), expected)
+    owners = train._helper
+    pid = os.fork()
+    if pid == 0:  # the child leaves through os._exit on every path
+        try:
+            same = np.array_equal(predict(model, images, 8), expected)
+            own = train._helper[0] == os.getpid() and train._helper[1] != owners[1]
+            train.close_helper()
+            os._exit(0 if same and own else 3)
+        finally:
+            os._exit(1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert np.array_equal(predict(model, images, 8), expected)
+    assert train._helper is owners and len(forks) == 2  # this process's helper, and the child
+    train.close_helper()
+    _assert_no_child_left()
+
+
+_OWNER = """
+import atexit, os, sys, time
+def reaped():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("reaped", flush=True)
+atexit.register(reaped)  # runs after every handler registered later
+import numpy as np
+os.sched_getaffinity = lambda pid: {0, 1}
+from causalseg import train
+from causalseg.config import ModelConfig
+from causalseg.model import SegModel
+train.predict(SegModel(ModelConfig(k=4, size=16), 0), np.zeros((4, 16, 16)), 2)
+holder = os.fork() if sys.argv[1] == "killed, a child holds the pipe" else None
+if holder == 0:
+    time.sleep(30)
+    os._exit(0)
+print(train._helper[1], holder, flush=True)
+if sys.argv[1] != "exit":
+    time.sleep(60)
+"""
+
+
+def _gone(pid: int) -> bool:
+    """No such process, or one that has exited and waits only to be reaped."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(") ", 1)[1][0] in "ZX"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+@pytest.mark.parametrize("end", ["exit", "killed", "killed, a child holds the pipe"])
+def test_the_helper_does_not_outlive_its_owner(end):
+    src = Path(causalseg.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    owner = subprocess.Popen([sys.executable, "-c", _OWNER, end], env=env,
+                             stdout=subprocess.PIPE, text=True)
+    helper, holder = owner.stdout.readline().split()
+    if end != "exit":
+        os.kill(owner.pid, signal.SIGKILL)
+    rest = owner.stdout.read() if end == "exit" else ""
+    owner.stdout.close()
+    owner.wait(timeout=60)
+    assert rest == ("reaped\n" if end == "exit" else "")  # the owner reaped its helper at exit
+    deadline = time.monotonic() + 5
+    while not _gone(int(helper)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    gone = _gone(int(helper))
+    if holder != "None":
+        os.kill(int(holder), signal.SIGKILL)
+    assert gone
 
 
 def test_evaluate_empty_records():

@@ -1,21 +1,22 @@
 """Checkpoints as numpy ``.npz`` archives that ``np.load(path)`` reads: one
-little-endian float32 or float64 member per array, plus ``meta.k`` (int64) and
-``meta.config_hash`` (32 uint8); round trips and repeat saves are bit-identical.
+little-endian float32 or float64 member per array, plus ``meta.config``, the run's
+TrainConfig as uint8 JSON text; round trips and repeat saves are bit-identical.
 ``write_atomic`` is the one write path for a run's files: checkpoint and CSVs."""
 
 import io
+import json
 import lzma
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-HASH_BYTES = 32
+from .config import TrainConfig
+
 _FLOATS = (np.dtype("<f4"), np.dtype("<f8"))
-_META = {"meta.k": (np.dtype("<i8"), ()), "meta.config_hash": (np.dtype("u1"), (HASH_BYTES,))}
 # raised on damaged archives; np.load allocates what a member's header declares
 _READ_ERRORS = (OSError, zipfile.BadZipFile, ValueError, EOFError, RuntimeError, MemoryError,
                 zlib.error, lzma.LZMAError)
@@ -27,8 +28,7 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    k: int
-    config_hash: bytes
+    config: TrainConfig
     arrays: dict
 
 
@@ -55,19 +55,17 @@ def write_atomic(path, write):
         os.close(fd)
 
 
-def save_checkpoint(path, arrays: dict, k: int, config_hash: bytes):
+def save_checkpoint(path, arrays: dict, config: TrainConfig):
     """Save through ``write_atomic``: a crash mid-write leaves the previous file."""
-    if len(config_hash) != HASH_BYTES:
-        raise CheckpointError(f"config hash must be {HASH_BYTES} bytes, got {len(config_hash)}")
     members = {}
     for name, arr in arrays.items():
-        if name in (*_META, "file", "allow_pickle"):  # the header, np.savez's own arguments
+        if name in ("meta.config", "file", "allow_pickle"):  # the config, np.savez's own arguments
             raise CheckpointError(f"{name}: name reserved by the checkpoint format")
         arr = np.asarray(arr)
         members[name] = arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         if arr.dtype not in _FLOATS:
             raise CheckpointError(f"{name}: unsupported dtype {arr.dtype}")
-    members.update(zip(_META, (np.int64(k), np.frombuffer(config_hash, dtype=np.uint8))))
+    members["meta.config"] = np.frombuffer(json.dumps(asdict(config)).encode(), dtype=np.uint8)
     write_atomic(path, lambda fh: np.savez(fh, **members))
 
 
@@ -87,13 +85,22 @@ def load_checkpoint(path) -> Checkpoint:
             if len(set(npz.files)) != len(npz.files):
                 raise CheckpointError("duplicate member names")
             arrays = {name: npz[name] for name in npz.files}
-        k, config_hash = meta = [arrays.pop(name, None) for name in _META]
-        for name, arr, spec in zip(_META, meta, _META.values()):
-            if not isinstance(arr, np.ndarray) or (arr.dtype, arr.shape) != spec:
-                raise CheckpointError(f"missing or malformed {name}")
+        config = _stored_config(arrays.pop("meta.config", None))
         for name, arr in arrays.items():
             if not isinstance(arr, np.ndarray) or arr.dtype not in _FLOATS:
                 raise CheckpointError(f"{name}: not a float32 or float64 array")
     except _READ_ERRORS as exc:  # CheckpointError is a ValueError
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    return Checkpoint(k=int(k), config_hash=config_hash.tobytes(), arrays=arrays)
+    return Checkpoint(config=config, arrays=arrays)
+
+
+def _stored_config(member) -> TrainConfig:
+    """The validated TrainConfig of a ``meta.config`` member: every field, of its type."""
+    try:
+        values = json.loads(member.tobytes()) if member.dtype == np.uint8 else None
+    except (AttributeError, ValueError):  # no member, or not UTF-8 JSON
+        values = None
+    types = {f.name: f.type for f in fields(TrainConfig)}
+    if not isinstance(values, dict) or {k: type(v) for k, v in values.items()} != types:
+        raise CheckpointError("missing or malformed meta.config; train again")
+    return TrainConfig(**values).validate()

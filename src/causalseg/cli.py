@@ -16,7 +16,7 @@ import numpy as np
 
 from . import scm as scm_mod
 from .boundary import boundary_band, sobel_magnitude, uncertainty_map
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, write_atomic
 from .scm import SCMError
 from .config import ConfigError, TrainConfig, load_scm_config, load_train_config
 from .data import (DatasetError, PgmError, export_dataset, generate_synthetic, ingest,
@@ -72,11 +72,12 @@ def _config_from_args(args) -> TrainConfig:
     return load_train_config(args.config, overrides)
 
 
-def _load_model(args, cfg: TrainConfig) -> SegModel:
+def _load_model(path) -> tuple[TrainConfig, SegModel]:
+    ckpt = load_checkpoint(path)
+    cfg = ckpt.config
     model = SegModel(cfg.model_config(), cfg.seed)
-    opt = SGD(model.registry, cfg.momentum, cfg.weight_decay)
-    restore_training_state(load_checkpoint(args.checkpoint), model, opt)
-    return model
+    restore_training_state(ckpt, model, SGD(model.registry, cfg.momentum, cfg.weight_decay))
+    return cfg, model
 
 
 def cmd_generate(args):
@@ -112,8 +113,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    cfg = _config_from_args(args)
-    model = _load_model(args, cfg)
+    cfg, model = _load_model(args.checkpoint)
     # the held-out records of the split that ``fit`` trained and reported on
     _, records = split_dataset(load_dataset(cfg), cfg.split_fraction, cfg.seed)
     per_image, mean = evaluate_model(model, records, cfg)
@@ -173,8 +173,7 @@ def cmd_oracle(args):
 
 
 def cmd_inspect(args):
-    cfg = _config_from_args(args)
-    model = _load_model(args, cfg)
+    cfg, model = _load_model(args.checkpoint)
     records = load_dataset(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -196,7 +195,8 @@ def cmd_inspect(args):
                    [{"channel": c, **{f"k{j}": f"{w:.8f}" for j, w in enumerate(row)}}
                     for c, row in enumerate(mixer.omega().data)])
     diagnostics = diagnose(model, *split_dataset(records, cfg.split_fraction, cfg.seed))
-    (outdir / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2) + "\n")
+    text = json.dumps(diagnostics, indent=2) + "\n"
+    write_atomic(outdir / "diagnostics.json", lambda fh: fh.write(text.encode()))
     print(f"wrote {4 * len(records)} maps, {len(mixers)} omega CSVs and diagnostics.json to {outdir}")
     return 0
 
@@ -224,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="checkpoint to resume from")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
-    _add_config_flags(p, require_seed=True)
+    p = sub.add_parser("evaluate", help="evaluate a checkpoint on its run's test split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", help="per-image metrics CSV")
     p.set_defaults(func=cmd_evaluate)
@@ -258,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("inspect", help="dump per-record maps, omega CSVs and latent diagnostics")
-    _add_config_flags(p, require_seed=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_inspect)

@@ -1,12 +1,11 @@
-"""Run configuration: dataclasses, `key = value` file parsing, config hashing.
+"""Run configuration: dataclasses and `key = value` file parsing.
 
 Config files are UTF-8 lines of `key = value` with `#` comments; unknown
-keys are rejected so typos fail loudly.  The model-shape subset hashes
-into checkpoints to catch evaluate-time mismatches.
+keys are rejected so typos fail loudly.  Every checkpoint stores the whole
+TrainConfig it was trained with (see ``checkpoint``).
 """
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -26,18 +25,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture-determining fields; hashed into every checkpoint."""
+    """Architecture-determining fields: what ``SegModel`` is built from."""
 
     k: int = 128
     size: int = 64
     use_gsm: bool = True
     use_cibm: bool = True
-
-    def canonical(self) -> str:
-        return f"k={self.k};size={self.size};gsm={int(self.use_gsm)};cibm={int(self.use_cibm)}"
-
-    def config_hash(self) -> bytes:
-        return hashlib.sha256(self.canonical().encode()).digest()
 
 
 @dataclass
@@ -142,30 +135,30 @@ def load_train_config(path, overrides=None) -> TrainConfig:
 def load_scm_config(path) -> DiscreteSCM:
     """Discrete causal model from `key = value` rows of probabilities.
 
-    Keys: `c` for P(C); `x_given_c<j>` rows; `y_given_x<i>_c<j>` rows.
+    Keys: `c` for P(C); `x_given_c<j>` rows; `y_given_x<i>_c<j>` rows.  Every
+    row holds at least one value, and every row of a table as many as its first.
     """
     pairs = _read_config(path)
 
-    def row(key):
-        try:
-            return [float(tok) for tok in pairs[key].split()]
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+    def table(keys):
+        rows = []
+        for key in keys:
+            if key not in pairs:
+                raise ConfigError(f"scm config needs a `{key}` row")
+            try:
+                rows.append([float(tok) for tok in pairs.pop(key).split()])
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+            if not rows[-1]:
+                raise ConfigError(f"{key}: no values")
+            if len(rows[-1]) != len(rows[0]):
+                raise ConfigError(f"{key}: {len(rows[-1])} values, but {keys[0]} has {len(rows[0])}")
+        return rows
 
-    if "c" not in pairs:
-        raise ConfigError("scm config needs a `c` row for P(C)")
-    p_c = row("c")
-    n_c = len(p_c)
-    x_rows = [k for k in pairs if k.startswith("x_given_c")]
-    y_rows = [k for k in pairs if k.startswith("y_given_x")]
-    unknown = sorted(set(pairs) - {"c"} - set(x_rows) - set(y_rows))
-    if unknown:
-        raise ConfigError(f"unknown scm config keys: {', '.join(unknown)}")
-    if len(x_rows) != n_c:
-        raise ConfigError(f"need one x_given_c<j> row per C value (0..{n_c - 1})")
-    p_x = [row(f"x_given_c{j}") for j in range(n_c)]
+    (p_c,) = table(["c"])
+    p_x = table([f"x_given_c{j}" for j in range(len(p_c))])
     n_x = len(p_x[0])
-    p_y = [[row(f"y_given_x{i}_c{j}") for j in range(n_c)] for i in range(n_x)]
-    if len(y_rows) != n_x * n_c:
-        raise ConfigError("need one y_given_x<i>_c<j> row per (x, c) pair")
-    return DiscreteSCM(np.array(p_c), np.array(p_x), np.array(p_y))
+    p_y = table([f"y_given_x{i}_c{j}" for i in range(n_x) for j in range(len(p_c))])
+    if pairs:
+        raise ConfigError(f"unknown scm config keys: {', '.join(sorted(pairs))}")
+    return DiscreteSCM(np.array(p_c), np.array(p_x), np.array(p_y).reshape(n_x, len(p_c), -1))

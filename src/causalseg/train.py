@@ -13,7 +13,7 @@ import math
 import mmap
 import os
 import signal
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from multiprocessing import Pipe
 from pathlib import Path
@@ -282,18 +282,14 @@ def _momentum_arrays(opt: SGD) -> dict:
     return {f"opt.{name}": buf for name, buf in opt.velocity.items()}
 
 
-def save_training_state(path, model: SegModel, opt: SGD, epochs_done: int):
+def save_training_state(path, model: SegModel, opt: SGD, epochs_done: int, cfg: TrainConfig):
     arrays = model.registry.named_arrays()
     arrays.update(_momentum_arrays(opt))
     arrays["meta.epoch"] = np.array([float(epochs_done)], dtype=np.float64)
-    save_checkpoint(path, arrays, model.config.k, model.config.config_hash())
+    save_checkpoint(path, arrays, cfg)
 
 
 def restore_training_state(ckpt: Checkpoint, model: SegModel, opt: SGD) -> int:
-    if ckpt.k != model.config.k:
-        raise TrainingError(f"checkpoint K={ckpt.k} does not match config K={model.config.k}")
-    if ckpt.config_hash != model.config.config_hash():
-        raise TrainingError("checkpoint config hash does not match the requested model")
     # every parameter and momentum array is checked by name and shape before any copy
     targets = {**model.registry.named_arrays(), **_momentum_arrays(opt)}
     shapes = {**{key: buf.shape for key, buf in targets.items()}, "meta.epoch": (1,)}
@@ -350,7 +346,12 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
     opt = SGD(model.registry, cfg.momentum, cfg.weight_decay)
     start_epoch, earlier_rows = 0, []
     if resume is not None:
-        start_epoch = restore_training_state(load_checkpoint(resume), model, opt)
+        ckpt = load_checkpoint(resume)
+        changed = [f"{k} {v!r} (now {getattr(cfg, k)!r})" for k, v in asdict(ckpt.config).items()
+                   if k != "epochs" and v != getattr(cfg, k)]
+        if changed:  # only a longer run may resume; anything else is another run
+            raise TrainingError(f"{resume} was trained with {', '.join(changed)}")
+        start_epoch = restore_training_state(ckpt, model, opt)
         if start_epoch >= cfg.epochs:
             raise TrainingError(
                 f"checkpoint already at epoch {start_epoch} of {cfg.epochs}")
@@ -398,7 +399,7 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
                 if csv_path is not None:  # before the checkpoint: a resume replays what it lacks
                     write_rows(csv_path, [*earlier_rows, *(h.row() for h in history)])
                 if checkpoint_path is not None:
-                    save_training_state(checkpoint_path, model, opt, epoch + 1)
+                    save_training_state(checkpoint_path, model, opt, epoch + 1, cfg)
                 if log is not None:
                     log(f"epoch {epoch:3d} lr {lr:.2e} loss {losses['total']:.4f} "
                         f"test dice {test_mean['dice']:.4f}")

@@ -237,7 +237,7 @@ def test_11_persistence_and_metric_identity(tmp_path):
     before_images, before_mean = evaluate_model(result.model, result.test_records, cfg)
 
     path = tmp_path / "model.ckpt"
-    save_training_state(path, result.model, result.optimizer, cfg.epochs)
+    save_training_state(path, result.model, result.optimizer, cfg.epochs, cfg)
     fresh = SegModel(cfg.model_config(), seed=99)
     fresh_opt = SGD(fresh.registry, cfg.momentum, cfg.weight_decay)
     restore_training_state(load_checkpoint(path), fresh, fresh_opt)

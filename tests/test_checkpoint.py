@@ -1,7 +1,8 @@
-"""The .npz checkpoint format: round trips, header checks, corruption, truncation."""
+"""The .npz checkpoint format: round trips, the stored config, corruption, truncation."""
 
 import gc
 import io
+import json
 import os
 import stat
 import struct
@@ -10,15 +11,17 @@ import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from dataclasses import asdict, replace
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causalseg.checkpoint import (HASH_BYTES, CheckpointError, load_checkpoint, save_checkpoint,
-                                  write_atomic)
+from causalseg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic
+from causalseg.config import TrainConfig
 from causalseg.rngs import derive_rng
 from causalseg.train import write_rows
 
-HASH = bytes(range(HASH_BYTES))
+CFG = TrainConfig(k=16, size=32, seed=5, data="runs/data")
 
 
 def _arrays(dtype=np.float32):
@@ -34,10 +37,9 @@ def _arrays(dtype=np.float32):
 def test_round_trip_bit_identical(tmp_path):
     path = tmp_path / "model.ckpt"
     arrays = _arrays()
-    save_checkpoint(path, arrays, k=16, config_hash=HASH)
+    save_checkpoint(path, arrays, CFG)
     ckpt = load_checkpoint(path)
-    assert ckpt.k == 16
-    assert ckpt.config_hash == HASH
+    assert ckpt.config == CFG
     assert set(ckpt.arrays) == set(arrays)
     for name, arr in arrays.items():
         got = ckpt.arrays[name]
@@ -48,7 +50,7 @@ def test_round_trip_bit_identical(tmp_path):
 def test_round_trip_float64(tmp_path):
     path = tmp_path / "model.ckpt"
     arrays = _arrays(np.float64)
-    save_checkpoint(path, arrays, k=4, config_hash=HASH)
+    save_checkpoint(path, arrays, CFG)
     ckpt = load_checkpoint(path)
     for name, arr in arrays.items():
         assert ckpt.arrays[name].dtype == np.float64
@@ -57,17 +59,17 @@ def test_round_trip_float64(tmp_path):
 
 def test_save_is_deterministic(tmp_path):
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(a, _arrays(), k=16, config_hash=HASH)
-    save_checkpoint(b, _arrays(), k=16, config_hash=HASH)
+    save_checkpoint(a, _arrays(), CFG)
+    save_checkpoint(b, _arrays(), CFG)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_rejects_bad_magic(tmp_path):
     # a file in the old MAMBO1 format, a zip whose signature is damaged, and garbage
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, _arrays(), k=16, config_hash=HASH)
+    save_checkpoint(path, _arrays(), CFG)
     damaged = b"XX" + path.read_bytes()[2:]
-    mambo1 = (b"MAMBO1" + struct.pack("<II", 1, 4) + HASH + struct.pack("<I", 1) + b"w"
+    mambo1 = (b"MAMBO1" + struct.pack("<II", 1, 4) + bytes(32) + struct.pack("<I", 1) + b"w"
               + struct.pack("<BBI", 0, 1, 1) + np.float32(1.0).tobytes())
     for raw, match in [(mambo1, "MAMBO1"), (damaged, "enc.w.npy' is damaged"),
                        (b"not a checkpoint", "not a zip")]:
@@ -79,7 +81,7 @@ def test_rejects_bad_magic(tmp_path):
 
 def test_truncation_never_crashes(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, _arrays(), k=16, config_hash=HASH)
+    save_checkpoint(path, _arrays(), CFG)
     raw = path.read_bytes()
     stub = tmp_path / "stub.ckpt"
     for cut in range(len(raw)):
@@ -91,7 +93,7 @@ def test_truncation_never_crashes(tmp_path):
 def test_single_bit_flip_in_a_payload_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     arrays = _arrays()
-    save_checkpoint(path, arrays, k=16, config_hash=HASH)
+    save_checkpoint(path, arrays, CFG)
     raw = bytearray(path.read_bytes())
     raw[raw.find(arrays["enc.w"].tobytes()) + 5] ^= 0x10
     path.write_bytes(raw)
@@ -111,13 +113,13 @@ def test_rejects_unknown_dtype_code(tmp_path):
 def test_save_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(CheckpointError, match="unsupported dtype"):
         save_checkpoint(tmp_path / "x.ckpt", {"x": np.zeros(2, dtype=np.int32)},
-                        k=4, config_hash=HASH)
+                        CFG)
 
 
 @pytest.mark.parametrize("failure", ["bad dtype after one record", "fsync"])
 def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failure):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, _arrays(), k=16, config_hash=HASH)
+    save_checkpoint(path, _arrays(), CFG)
     before = path.read_bytes()
     update = {"enc.w": np.ones((3, 2, 3, 3), dtype=np.float32)}
     if failure == "fsync":
@@ -127,7 +129,7 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failur
     else:
         update["bad"] = np.zeros(2, dtype=np.int32)
     with pytest.raises((CheckpointError, OSError)):
-        save_checkpoint(path, update, k=16, config_hash=HASH)
+        save_checkpoint(path, update, CFG)
     assert path.read_bytes() == before
     assert load_checkpoint(path).arrays.keys() == _arrays().keys()
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
@@ -157,26 +159,20 @@ def test_write_atomic_makes_the_directory_and_fsyncs_file_then_directory(tmp_pat
     assert [p.name for p in path.parent.iterdir()] == ["x.bin"]
 
 
-@pytest.mark.parametrize("name", ["meta.k", "meta.config_hash", "file", "allow_pickle"])
+@pytest.mark.parametrize("name", ["meta.config", "file", "allow_pickle"])
 def test_save_rejects_reserved_meta_names(tmp_path, name):
     # np.savez would drop an array named allow_pickle, and fail on one named file
     with pytest.raises(CheckpointError, match=f"{name}: name reserved"):
         save_checkpoint(tmp_path / "x.ckpt", {name: np.zeros(2, dtype=np.float32)},
-                        k=4, config_hash=HASH)
+                        CFG)
     assert list(tmp_path.iterdir()) == []
-
-
-def test_save_rejects_short_hash(tmp_path):
-    with pytest.raises(CheckpointError, match="hash"):
-        save_checkpoint(tmp_path / "x.ckpt", {"x": np.zeros(2, dtype=np.float32)},
-                        k=4, config_hash=b"short")
 
 
 def test_empty_arrays_round_trip(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {}, k=8, config_hash=HASH)
+    save_checkpoint(path, {}, CFG)
     ckpt = load_checkpoint(path)
-    assert ckpt.arrays == {} and ckpt.k == 8
+    assert ckpt.arrays == {} and ckpt.config == CFG
 
 
 def test_missing_or_unreadable_path(tmp_path):
@@ -188,7 +184,7 @@ def test_missing_or_unreadable_path(tmp_path):
 
 def test_load_closes_its_file(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, _arrays(), k=16, config_hash=HASH)
+    save_checkpoint(path, _arrays(), CFG)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         load_checkpoint(path)
@@ -199,10 +195,10 @@ def test_load_closes_its_file(tmp_path):
 def test_numpy_reads_a_checkpoint(tmp_path):
     path = tmp_path / "model.ckpt"
     arrays = _arrays()
-    save_checkpoint(path, arrays, k=16, config_hash=HASH)
+    save_checkpoint(path, arrays, CFG)
     with np.load(path) as npz:
-        assert npz.files == [*arrays, "meta.k", "meta.config_hash"]
-        assert int(npz["meta.k"]) == 16 and npz["meta.config_hash"].tobytes() == HASH
+        assert npz.files == [*arrays, "meta.config"]
+        assert json.loads(npz["meta.config"].tobytes()) == asdict(CFG)
         assert npz["enc.w"].tobytes() == arrays["enc.w"].tobytes()
 
 
@@ -214,11 +210,15 @@ def _npy(shape, descr="<f4", payload=b"") -> bytes:
     return buf.getvalue() + payload
 
 
-K4 = ("meta.k.npy", _npy((), "<i8", np.int64(4).tobytes()))
-HASH_MEMBER = ("meta.config_hash.npy", _npy((HASH_BYTES,), "|u1", HASH))
+def _config_member(text: bytes) -> tuple:
+    """A ``meta.config`` member holding ``text`` as uint8."""
+    return "meta.config.npy", _npy((len(text),), "|u1", text)
 
 
-def _archive(members, meta=(K4, HASH_MEMBER)) -> bytes:
+CONFIG_MEMBER = _config_member(json.dumps(asdict(CFG)).encode())
+
+
+def _archive(members, meta=(CONFIG_MEMBER,)) -> bytes:
     """A zip of ``members`` and then ``meta``, every CRC correct."""
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as archive:
@@ -274,23 +274,64 @@ def test_rejects_member_with_impossible_dims(tmp_path, shape):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("meta, match", [
-    ([HASH_MEMBER], "missing or malformed meta.k"),
-    ([("meta.k.npy", _npy((), "<f8", bytes(8))), HASH_MEMBER], "malformed meta.k"),
-    ([K4, ("meta.config_hash.npy", _npy((HASH_BYTES - 1,), "|u1", HASH[1:]))],
-     "malformed meta.config_hash"),
-], ids=["missing k", "float k", "short hash"])
-def test_rejects_missing_or_malformed_header(tmp_path, meta, match):
+def _config_text(**changes) -> bytes:
+    return json.dumps({**asdict(CFG), **changes}).encode()
+
+
+@pytest.mark.parametrize("meta", [
+    [],
+    [("meta.config.npy", _npy((1,), "<f8", bytes(8)))],
+    [_config_member(json.dumps({k: v for k, v in asdict(CFG).items() if k != "seed"}).encode())],
+    [_config_member(_config_text(k="16"))],
+    [_config_member(_config_text(lr=1))],
+    [_config_member(_config_text(extra=1))],
+    [_config_member(b"[1, 2]")],
+    [_config_member(b"k = 16\n")],
+    [_config_member(b"\xff\xfe")],
+], ids=["missing config", "float config", "config missing a field", "str k", "int lr",
+        "unknown field", "not an object", "not json", "not utf-8"])
+def test_rejects_missing_or_malformed_header(tmp_path, meta):
     path = tmp_path / "model.ckpt"
     path.write_bytes(_archive([("w.npy", _npy((1,), "<f4", bytes(4)))], meta))
-    with pytest.raises(CheckpointError, match=match):
+    with pytest.raises(CheckpointError, match="missing or malformed meta.config; train again"):
         load_checkpoint(path)
+
+
+def test_rejects_a_stored_config_that_does_not_validate(tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_archive([], [_config_member(_config_text(k=3))]))
+    with pytest.raises(CheckpointError, match=rf"^cannot read checkpoint {path}: k must be"):
+        load_checkpoint(path)
+
+
+_CONFIGS = st.builds(
+    TrainConfig, lr=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    momentum=st.floats(0.0, 1.0, exclude_max=True),
+    weight_decay=st.floats(min_value=0.0, allow_infinity=False),
+    batch=st.integers(1, 64), epochs=st.integers(1, 10**4), k=st.integers(4, 512),
+    band_width=st.integers(1, 8), seed=st.integers(),
+    split_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    schedule=st.sampled_from(["cosine", "constant"]), size=st.integers(1, 64).map(lambda n: 8 * n),
+    data=st.text(), n_samples=st.integers(2, 10**6), augment=st.booleans(),
+    use_gsm=st.booleans(), use_cibm=st.booleans())
+
+
+@given(cfg=_CONFIGS)
+@example(cfg=replace(CFG, data="a#b = c\nd/é/データ"))
+@example(cfg=replace(CFG, data="# only a comment", seed=-(2**70), lr=5e-324))
+@settings(max_examples=100, deadline=None)
+def test_any_config_round_trips(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "config.ckpt"
+    save_checkpoint(path, _arrays(), cfg.validate())
+    stored = load_checkpoint(path).config
+    assert stored == cfg
+    assert [type(v) for v in asdict(stored).values()] == [type(v) for v in asdict(cfg).values()]
 
 
 @pytest.fixture(scope="module")
 def valid_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "valid.ckpt"
-    save_checkpoint(path, _arrays(), k=16, config_hash=HASH)
+    save_checkpoint(path, _arrays(), CFG)
     return path.read_bytes()
 
 

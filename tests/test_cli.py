@@ -112,14 +112,34 @@ def test_train_writes_artifacts(run_dir, capsys):
 
 
 def test_train_resume_extends_csv(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert main(["train", "--seed", "0", "--out", str(out), *TINY]) == 0
-    args = ["train", "--seed", "0", "--out", str(out), *TINY,
-            "--resume", str(out / "model.ckpt")]
-    assert main([*args, "--epochs", "4"]) == 0
+    # at a constant rate, 2 epochs resumed to 4 are the 4-epoch run, checkpoint and CSV
+    out, straight = tmp_path / "run", tmp_path / "straight"
+    argv = ["train", "--seed", "0", *TINY, "--schedule", "constant"]
+    assert main([*argv, "--out", str(straight), "--epochs", "4"]) == 0
+    assert main([*argv, "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(out), "--resume", str(out / "model.ckpt"),
+                 "--epochs", "4"]) == 0
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
+    for name in ("metrics.csv", "model.ckpt"):
+        assert (out / name).read_bytes() == (straight / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag, value, stored", [
+    ("--lr", "0.5", "lr 0.01 (now 0.5)"), ("--seed", "7", "seed 0 (now 7)"),
+    ("--k", "8", "k 4 (now 8)"), ("--no-use-gsm", None, "use_gsm True (now False)"),
+    ("--n-samples", "8", "n_samples 6 (now 8)")])
+def test_train_resume_under_another_config_exits_2(run_dir, tmp_path, capsys, flag, value,
+                                                   stored):
+    ckpt = run_dir / "model.ckpt"
+    saved = ckpt.read_bytes()
+    resumed = tmp_path / "run"
+    argv = ["train", "--seed", "0", *TINY, "--epochs", "3", flag, *([value] if value else []),
+            "--out", str(resumed), "--resume", str(ckpt)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {ckpt} was trained with {stored}\n"
+    assert ckpt.read_bytes() == saved and not resumed.exists()
 
 
 def test_train_resume_under_another_csv_header_exits_2(tmp_path, capsys):
@@ -149,33 +169,55 @@ def test_train_resume_into_a_new_out_dir_exits_2(tmp_path, capsys):
 
 def test_evaluate_emits_csv(run_dir, tmp_path, capsys):
     out = tmp_path / "sub" / "eval.csv"  # the directory is made for it
-    code = main(["evaluate", "--seed", "0", "--checkpoint", str(run_dir / "model.ckpt"),
-                 "--out", str(out), *TINY])
+    code = main(["evaluate", "--checkpoint", str(run_dir / "model.ckpt"), "--out", str(out)])
     assert code == 0
     assert "mean: dice" in capsys.readouterr().out
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     # the held-out split of the 6 samples only, as fit reported it, then the mean
-    cfg = _config_from_args(build_parser().parse_args(
-        ["evaluate", "--seed", "0", "--checkpoint", "x", *TINY]))
+    cfg = _config_from_args(build_parser().parse_args(["train", "--seed", "0", "--out", "x", *TINY]))
     _, test = split_dataset(load_dataset(cfg), cfg.split_fraction, cfg.seed)
     assert len(test) == 2
     assert [row["stem"] for row in rows] == [rec.stem for rec in test] + ["mean"]
 
 
-def test_evaluate_rejects_wrong_architecture(run_dir, capsys):
-    code = main(["evaluate", "--seed", "0", "--checkpoint", str(run_dir / "model.ckpt"),
-                 *TINY, "--k", "8"])
-    assert code == 2
-    assert "does not match" in capsys.readouterr().err
+def test_evaluate_scores_the_test_split_of_the_checkpoints_run(tmp_path, capsys):
+    # none of the run's settings is the default, and evaluate is given none of them
+    run, out = tmp_path / "run", tmp_path / "eval.csv"
+    argv = ["train", "--seed", "3", "--out", str(run), *TINY, "--split-fraction", "0.5",
+            "--n-samples", "8", "--no-use-cibm"]
+    assert main(argv) == 0
+    final = capsys.readouterr().out.splitlines()[-1]
+    assert main(["evaluate", "--checkpoint", str(run / "model.ckpt"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == final.replace("final test metrics: ", "mean: ") + "\n"
+    records = generate_synthetic(8, 16, 3)
+    _, test = split_dataset(records, 0.5, 3)
+    assert len(test) == 4
+    with open(out, newline="") as fh:
+        assert [row["stem"] for row in csv.DictReader(fh)] == [rec.stem for rec in test] + ["mean"]
 
 
 def test_evaluate_rejects_a_mambo1_checkpoint(tmp_path, capsys):
     old = tmp_path / "model.ckpt"
     old.write_bytes(b"MAMBO1" + bytes(40))
-    code = main(["evaluate", "--seed", "0", "--checkpoint", str(old), *TINY])
+    code = main(["evaluate", "--checkpoint", str(old)])
     assert code == 2
     assert f"error: cannot read checkpoint {old}: a MAMBO1 checkpoint" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_a_checkpoint_without_its_config(run_dir, tmp_path, capsys):
+    # a checkpoint of the format before the config was stored: meta.k and a hash instead
+    old = tmp_path / "model.ckpt"
+    with np.load(run_dir / "model.ckpt") as npz:
+        arrays = {name: npz[name] for name in npz.files if name != "meta.config"}
+    with open(old, "wb") as fh:
+        np.savez(fh, **arrays, **{"meta.k": np.int64(4), "meta.config_hash": np.zeros(32, np.uint8)})
+    for argv in (["evaluate", "--checkpoint", str(old)],
+                 ["inspect", "--checkpoint", str(old), "--out", str(tmp_path / "inspect")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: cannot read checkpoint {old}: "
+                                           "missing or malformed meta.config; train again\n")
+    assert not (tmp_path / "inspect").exists()
 
 
 @pytest.mark.parametrize("key, command", [
@@ -184,10 +226,10 @@ def test_misshapen_checkpoint_array_exits_2(run_dir, tmp_path, capsys, key, comm
     stored = load_checkpoint(run_dir / "model.ckpt")
     stored.arrays[key] = np.zeros(2, dtype=np.float32)
     ckpt = tmp_path / "bad.ckpt"
-    save_checkpoint(ckpt, stored.arrays, stored.k, stored.config_hash)
-    where = (["--resume", str(ckpt), "--out", str(tmp_path / "run")] if command == "train"
-             else ["--checkpoint", str(ckpt)])
-    assert main([command, "--seed", "0", *where, *TINY, "--epochs", "3"]) == 2
+    save_checkpoint(ckpt, stored.arrays, stored.config)
+    argv = (["train", "--seed", "0", "--resume", str(ckpt), "--out", str(tmp_path / "run"),
+             *TINY, "--epochs", "3"] if command == "train" else [command, "--checkpoint", str(ckpt)])
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: checkpoint array {key} has shape (2,)" in err
     assert "Traceback" not in err
@@ -201,14 +243,6 @@ def test_train_that_fails_to_load_leaves_no_out_dir(tmp_path, capsys, bad):
                  "--out", str(out)]) == 2
     assert str(missing) in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_evaluate_requires_seed(run_dir, capsys):
-    # the held-out split depends on the training seed, which no checkpoint stores
-    with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--checkpoint", str(run_dir / "model.ckpt"), *TINY])
-    assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sizes, flag, first_bad", [
@@ -335,13 +369,10 @@ def inspected(run_dir, tmp_path_factory):
     """One ``inspect`` run on the shared checkpoint, with the records and
     predictions it was made from."""
     out = tmp_path_factory.mktemp("inspect")
-    argv = ["inspect", "--seed", "0", "--checkpoint", str(run_dir / "model.ckpt"),
-            "--out", str(out), *TINY]
-    assert main(argv) == 0
-    args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
+    assert main(["inspect", "--checkpoint", str(run_dir / "model.ckpt"), "--out", str(out)]) == 0
+    cfg, model = _load_model(run_dir / "model.ckpt")
     records = load_dataset(cfg)
-    preds = train.predict(_load_model(args, cfg), [rec.image for rec in records], cfg.batch)
+    preds = train.predict(model, [rec.image for rec in records], cfg.batch)
     return out, cfg, records, preds
 
 
@@ -376,8 +407,8 @@ def test_inspect_omega(inspected, tmp_path):
     # without CIBM there are no mixing weights, so no omega CSV
     gsm_run, gsm_out = tmp_path / "gsm-run", tmp_path / "gsm-inspect"
     assert main(["train", "--seed", "0", "--no-use-cibm", "--out", str(gsm_run), *TINY]) == 0
-    assert main(["inspect", "--seed", "0", "--no-use-cibm", "--checkpoint",
-                 str(gsm_run / "model.ckpt"), "--out", str(gsm_out), *TINY]) == 0
+    assert main(["inspect", "--checkpoint", str(gsm_run / "model.ckpt"),
+                 "--out", str(gsm_out)]) == 0
     assert list(gsm_out.glob("omega_stage*.csv")) == []
     assert "omega_entropy" not in json.loads((gsm_out / "diagnostics.json").read_text())
 
@@ -418,10 +449,10 @@ def test_missing_config_file_exits_2(tmp_path, capsys, command):
     (["generate", "--seed", "0", "--n-samples", "2", "--size", "16"], "plain", False),
     (["generate", "--seed", "0", "--n-samples", "2", "--size", "16"], "plain/x", False),
     (["train", "--seed", "0", *TINY], "plain/x", False),
-    (["inspect", "--seed", "0", *TINY], "plain", True),
+    (["inspect"], "plain", True),
     (["ablate-k", "--k-list", "4", *TINY], "plain/x.csv", False),
-    (["inspect", "--seed", "0", *TINY], "plain/x", True),
-    (["inspect", "--seed", "0", *TINY], "plain/x/y", True),
+    (["inspect"], "plain/x", True),
+    (["inspect"], "plain/x/y", True),
 ], ids=["generate", "generate-under", "train-under", "inspect-band", "ablate-k-under",
         "entropy-under", "inspect-omega"])
 def test_out_through_a_regular_file_exits_2(run_dir, tmp_path, capsys, argv, out, checkpoint):
@@ -543,6 +574,14 @@ def test_train_flag_set_is_exactly_the_schema():
         flag = "--" + f.name.replace("_", "-")
         expected |= {flag, "--no-" + flag[2:]} if f.type is bool else {flag}
     assert options == expected
+
+
+@pytest.mark.parametrize("command", ["evaluate", "inspect"])
+def test_checkpoint_commands_take_no_config_flag(command):
+    # the run's config comes from the checkpoint, so no flag can disagree with it
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    options = {opt for action in parser._actions for opt in action.option_strings}
+    assert options == {"-h", "--help", "--checkpoint", "--out"}
 
 
 # -- README recipes parse against the CLI ------------------------------------

@@ -1,4 +1,4 @@
-"""Config parsing, validation, hashing, and SCM file loading."""
+"""Config parsing, validation, and SCM file loading."""
 
 import math
 
@@ -96,20 +96,7 @@ def test_validate_returns_self():
     assert cfg.validate() is cfg
 
 
-# -- model config hashing ----------------------------------------------------
-
-def test_canonical_string_covers_architecture():
-    cfg = ModelConfig(k=16, size=32, use_gsm=False, use_cibm=True)
-    assert cfg.canonical() == "k=16;size=32;gsm=0;cibm=1"
-
-
-def test_hash_distinguishes_architectures():
-    base = ModelConfig(k=16, size=32)
-    assert base.config_hash() == ModelConfig(k=16, size=32).config_hash()
-    assert base.config_hash() != ModelConfig(k=32, size=32).config_hash()
-    assert base.config_hash() != ModelConfig(k=16, size=32, use_gsm=False).config_hash()
-    assert len(base.config_hash()) == 32
-
+# -- model config ------------------------------------------------------------
 
 def test_train_config_projects_to_model_config():
     cfg = TrainConfig(k=16, size=32, use_gsm=False, use_cibm=True)
@@ -152,6 +139,22 @@ def test_load_scm_counts_rows(tmp_path):
     path = tmp_path / "scm.cfg"
     path.write_text("c = 0.5 0.5\nx_given_c0 = 1.0\n")
     with pytest.raises(ConfigError, match="x_given_c"):
+        load_scm_config(path)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("c =\n", "^c: no values$"),
+    ("c = 0.5 0.5\nx_given_c0 = 1.0\nx_given_c1 = 0.5 0.5\n",
+     "^x_given_c1: 2 values, but x_given_c0 has 1$"),
+    ("c = 1\nx_given_c5 = 1\ny_given_x0_c0 = 1\n", "needs a `x_given_c0` row"),
+    ("c = 1\nx_given_c0 = 1\ny_given_x3_c0 = 1\n", "needs a `y_given_x0_c0` row"),
+    ("c = 1\nx_given_c0 = 0.5 0.5\ny_given_x0_c0 = 1\ny_given_x1_c0 = 0.5 0.5\n",
+     "^y_given_x1_c0: 2 values, but y_given_x0_c0 has 1$"),
+], ids=["empty c", "ragged x rows", "x row of another c", "y row of another x", "ragged y rows"])
+def test_load_scm_names_a_malformed_row(tmp_path, text, match):
+    path = tmp_path / "scm.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
         load_scm_config(path)
 
 

@@ -221,10 +221,10 @@ def test_resume_after_a_crash_between_csv_row_and_checkpoint(tmp_path, monkeypat
 
     real_save = train.save_training_state
 
-    def save_then_crash_after_epoch_1(path, model, opt, epochs_done):
+    def save_then_crash_after_epoch_1(path, model, opt, epochs_done, cfg):
         if epochs_done == 2:
             raise _Abort  # epoch 1's CSV row is written, its checkpoint is not
-        real_save(path, model, opt, epochs_done)
+        real_save(path, model, opt, epochs_done, cfg)
 
     resumed_csv, ckpt = tmp_path / "resumed.csv", tmp_path / "model.ckpt"
     monkeypatch.setattr(train, "save_training_state", save_then_crash_after_epoch_1)
@@ -365,11 +365,12 @@ def test_restore_rejects_other_architecture(tmp_path):
     fit(cfg, checkpoint_path=ckpt)
 
     other = TrainConfig(**{**TINY, "k": 8, "epochs": 5}).validate()
-    with pytest.raises(TrainingError, match="K=4"):
+    with pytest.raises(TrainingError, match=re.escape(f"{ckpt} was trained with k 4 (now 8)")):
         fit(other, resume=ckpt)
 
     no_gsm = TrainConfig(**{**TINY, "use_gsm": False, "epochs": 5}).validate()
-    with pytest.raises(TrainingError, match="config hash"):
+    with pytest.raises(TrainingError, match=re.escape(
+            f"{ckpt} was trained with use_gsm True (now False)")):
         fit(no_gsm, resume=ckpt)
 
 
@@ -415,16 +416,18 @@ def test_restore_rejects_incomplete_checkpoint(tmp_path, dropped):
     stored = load_checkpoint(ckpt)
     key = next(name for name in stored.arrays if name.startswith(dropped))
     del stored.arrays[key]
-    save_checkpoint(ckpt, stored.arrays, stored.k, stored.config_hash)
+    save_checkpoint(ckpt, stored.arrays, stored.config)
     longer = TrainConfig(**{**TINY, "epochs": 5}).validate()
     with pytest.raises(TrainingError, match=f"missing {key}"):
         fit(longer, resume=ckpt)
 
 
+CFG = TrainConfig(**TINY).validate()
+
+
 def _fresh_state(seed):
-    cfg = TrainConfig(**TINY).validate()
-    model = SegModel(cfg.model_config(), seed)
-    return model, SGD(model.registry, cfg.momentum, cfg.weight_decay)
+    model = SegModel(CFG.model_config(), seed)
+    return model, SGD(model.registry, CFG.momentum, CFG.weight_decay)
 
 
 def test_restore_copies_every_parameter(tmp_path):
@@ -432,7 +435,7 @@ def test_restore_copies_every_parameter(tmp_path):
     src, src_opt = _fresh_state(0)
     for buf in src_opt.velocity.values():
         buf += 1.0
-    save_training_state(tmp_path / "model.ckpt", src, src_opt, 1)
+    save_training_state(tmp_path / "model.ckpt", src, src_opt, 1, CFG)
     dst, dst_opt = _fresh_state(1)
     before = dst.forward(images, training=False).pred.data.copy()
     assert restore_training_state(load_checkpoint(tmp_path / "model.ckpt"), dst, dst_opt) == 1
@@ -446,7 +449,7 @@ def test_restore_copies_every_parameter(tmp_path):
 @pytest.mark.parametrize("key", ["backbone.head.bias", "opt.backbone.head.weight"])
 def test_restore_names_a_misshapen_array(tmp_path, key):
     src, src_opt = _fresh_state(0)
-    save_training_state(tmp_path / "model.ckpt", src, src_opt, 1)
+    save_training_state(tmp_path / "model.ckpt", src, src_opt, 1, CFG)
     stored = load_checkpoint(tmp_path / "model.ckpt")
     stored.arrays[key] = np.zeros(2, dtype=np.float32)
     dst, dst_opt = _fresh_state(1)
@@ -462,7 +465,7 @@ def test_checkpoint_written_every_epoch(tmp_path):
     ckpt = tmp_path / "model.ckpt"
     fit(cfg, checkpoint_path=ckpt)
     stored = load_checkpoint(ckpt)
-    assert stored.k == cfg.k
+    assert stored.config == cfg
     assert int(stored.arrays["meta.epoch"][0]) == cfg.epochs
     assert any(name.startswith("opt.") for name in stored.arrays)
 

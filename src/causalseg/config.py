@@ -7,6 +7,7 @@ TrainConfig it was trained with (see ``checkpoint``).
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +97,11 @@ def _coerce_field(name: str, kind, raw: str):
 
 
 def parse_config_lines(lines) -> dict:
-    """`key = value` pairs with `#` comments; duplicate keys keep the last."""
+    """`key = value` pairs with `#` comments, which start a line or follow
+    whitespace (so `data = d#1` keeps `d#1`); duplicate keys keep the last."""
     pairs = {}
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = re.sub(r"(^|\s)#.*", "", line).strip()
         if not stripped:
             continue
         if "=" not in stripped:

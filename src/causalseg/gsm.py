@@ -2,9 +2,9 @@
 
 An image-fed head (GDEB) predicts K prior 1-D Gaussians; a mask-fed head
 (PCB, training only) predicts the K posterior Gaussians.  The latent is
-drawn by reparameterization, z = eps * sigma + mu, with eps from the
-caller's generator (or zero, giving the mean), so a fresh generator of the
-same stream replays the same draw.  A KL term aligns prior to posterior,
+drawn by reparameterization, z = eps * sigma + mu, with the caller's
+standard-normal draw eps (or zero, giving the mean), so the same draw
+replays the same latent.  A KL term aligns prior to posterior,
 averaged over the K components.
 """
 
@@ -80,16 +80,17 @@ def extract_posterior(mask: T.Tensor, head: DistributionHead) -> GaussianSet:
     return head.distributions(mask)
 
 
-def sample(gset: GaussianSet, rng=None) -> T.Tensor:
-    """z = eps * sigma + mu with eps ~ N(0,1) per component from ``rng``.
+def sample(gset: GaussianSet, eps=None) -> T.Tensor:
+    """z = eps * sigma + mu for ``eps``, the caller's N(0,1) draw of mu's shape.
 
-    With rng=None eps is zero and the latent is the mean (deterministic
+    With eps=None eps is zero and the latent is the mean (deterministic
     inference).
     """
     shape = gset.mu.shape
-    dtype = gset.mu.data.dtype
-    eps = np.zeros(shape, dtype=dtype) if rng is None else rng.standard_normal(shape).astype(dtype)
-    return T.add(T.mul(T.Tensor(eps), gset.sigma), gset.mu)
+    eps = np.zeros(shape) if eps is None else np.asarray(eps)
+    if eps.shape != shape:
+        raise T.ShapeError(f"sample: noise {eps.shape} for distributions {shape}")
+    return T.add(T.mul(T.Tensor(eps.astype(gset.mu.data.dtype)), gset.sigma), gset.mu)
 
 
 def kl_loss(prior: GaussianSet, posterior: GaussianSet) -> T.Tensor:

@@ -1,7 +1,7 @@
 """Segmentation model assembly: backbone plus optional GSm and CIBM branches.
 
 The latent confusion features, one (B,K) Tensor per forward, are sampled
-from the image-side prior head with noise from the caller's generator; the
+from the image-side prior head with the caller's standard-normal noise; the
 mask-side posterior head exists only to constrain that prior with a KL term
 during training and is never evaluated at inference.  With CIBM alone (no
 learned prior) the latents come from a fixed standard normal.
@@ -58,11 +58,11 @@ class SegModel:
             raise T.ShapeError(f"expected (B,H,W) or (B,1,H,W), got {data.shape}")
         return T.Tensor(data)
 
-    def forward(self, images, masks=None, *, training: bool, rng=None) -> ForwardResult:
+    def forward(self, images, masks=None, *, training: bool, noise=None) -> ForwardResult:
         """images: (B,1,H,W) or (B,H,W); masks required when training with GSm.
 
-        The latent draw takes its noise from ``rng``; with ``rng=None`` it is
-        the distribution mean.
+        ``noise`` is the latent's (B,K) standard-normal draw; with
+        ``noise=None`` the latent is the distribution mean.
         """
         x = images if isinstance(images, T.Tensor) else self._as_batch(images)
         batch = x.shape[0]
@@ -75,10 +75,10 @@ class SegModel:
                 if masks is None:
                     raise ValueError("training with GSm needs ground-truth masks for the posterior")
                 posterior = extract_posterior(self._as_batch(masks), self.pcb)
-            latent = sample(prior, rng=rng)
+            latent = sample(prior, noise)
         elif self.config.use_cibm:
             fixed = GaussianSet.standard((batch, self.config.k), dtype=self.dtype)
-            latent = sample(fixed, rng=rng)
+            latent = sample(fixed, noise)
 
         hook = self.pipeline.hook(latent) if self.pipeline is not None else None
         logits = self.backbone.decode(stages, hook)

@@ -8,6 +8,7 @@ replays the exact run an uninterrupted training would have produced.
 
 import atexit
 import csv
+import ctypes
 import io
 import math
 import mmap
@@ -34,6 +35,15 @@ from .rngs import derive_rng
 LOSS_PARTS = ("total", "bce", "dice", "kl", "usd")
 METRIC_NAMES = ("dice", "iou", "fdr", "auc")
 METRICS_COLUMNS = ("epoch", *(f"loss_{name}" for name in LOSS_PARTS), *METRIC_NAMES)
+
+
+# glibc sizes its mmap and trim thresholds by the last blocks freed; after half-batch
+# steps they fall below evaluation's arrays, whose pages are then faulted in afresh
+# on every call.  Pinned, the heap keeps them.
+_libc = ctypes.CDLL(None) if os.name == "posix" else None
+if hasattr(_libc, "mallopt"):
+    _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _libc.mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
 class TrainingError(RuntimeError):
@@ -157,12 +167,37 @@ def _predict_claimed(model: SegModel, images: np.ndarray, batch: int, out: np.nd
     return int(claims[side])
 
 
-_helper = None  # (owner pid, helper pid, connection, claims): this process's evaluation helper
+def _flat(arrays) -> np.ndarray:
+    """``arrays`` raveled end to end: the pipe then pickles one array, not one per parameter."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def _cut(flat: np.ndarray, like) -> list:
+    """Views of ``flat`` in the shapes of ``like``, in order: ``_flat`` undone."""
+    ends = np.cumsum([a.size for a in like])
+    return [flat[end - a.size:end].reshape(a.shape) for a, end in zip(like, ends)]
+
+
+def _half_grads(model: SegModel, arrays, noise, share: float, cfg: TrainConfig) -> tuple:
+    """Forward and backward of part of a training batch, its total loss scaled by
+    ``share``, the part's fraction of the batch; return its loss parts' values
+    times ``share`` and the parameters' gradients, flat in registry order."""
+    images, masks, *band = arrays
+    parts = compute_losses(model.forward(images, masks, training=True, noise=noise),
+                           masks, cfg, *band)
+    model.registry.zero_grad()
+    T.backward(T.mul(parts["total"], T.Tensor(np.asarray(share, dtype=model.dtype))))
+    return ({name: share * part.item() for name, part in parts.items()},
+            _flat([t.grad for t in model.registry.tensors.values()]))
+
+
+_helper = None  # (owner pid, helper pid, connection, claims): this process's helper
 
 
 def _fork_helper() -> tuple:
-    """Fork the helper, which computes each ``predict`` call's batches from the back
-    under the caller's error state, until EOF or until its owner is gone."""
+    """Fork the helper, which serves each ``predict`` call's batches from the back
+    and each training step's back half, under the caller's error state, until an
+    error, EOF or its owner is gone."""
     claims = np.frombuffer(mmap.mmap(-1, 16), np.int64, 2)  # shared front and back counts
     ours, theirs = Pipe()
     owner, pid = os.getpid(), os.fork()
@@ -174,22 +209,28 @@ def _fork_helper() -> tuple:
         model = None
         while os.getppid() == owner:
             if theirs.poll(1.0):
-                config, dtype, params, images, batch, err = theirs.recv()
+                kind, config, dtype, params, err, args = theirs.recv()
                 if model is None or (model.config, model.dtype) != (config, dtype):
                     model = SegModel(config, 0, dtype)
-                for t, data in zip(model.registry.tensors.values(), params):
-                    t.data[...] = data
-                out = np.empty_like(images)
+                arrays = list(model.registry.named_arrays().values())
+                for data, sent in zip(arrays, _cut(params, arrays)):
+                    data[...] = sent
                 with np.errstate(**err):  # not the state this process was forked under
-                    back = _predict_claimed(model, images, batch, out, claims, 1)
-                first = (-(-len(images) // batch) - back) * batch
-                theirs.send((first, out[first:]))
+                    if kind == "step":
+                        reply = _half_grads(model, *args)
+                    else:
+                        images, batch = args
+                        out = np.empty_like(images)
+                        back = _predict_claimed(model, images, batch, out, claims, 1)
+                        first = (-(-len(images) // batch) - back) * batch
+                        reply = first, out[first:]
+                theirs.send(reply)
     finally:
         os._exit(0)
 
 
 def close_helper():
-    """Kill and reap this process's evaluation helper; drop one inherited through os.fork."""
+    """Kill and reap this process's helper; drop one inherited through os.fork."""
     global _helper
     if _helper is not None:
         (owner, pid, conn, _), _helper = _helper, None
@@ -202,33 +243,69 @@ def close_helper():
 atexit.register(close_helper)
 
 
+def _two_cores() -> bool:
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return cores > 1 and hasattr(os, "fork")
+
+
+def _share(kind: str, model: SegModel, args, own) -> tuple:
+    """Send this process's helper ``(kind, args)`` with ``model``'s parameters, run
+    ``own(claims)`` here meanwhile, and return own's result and the helper's reply.
+    Either is None if the helper died first: its part, or its error, then falls to
+    the caller.  If ``own`` raises or is interrupted, the helper is killed first."""
+    global _helper
+    if _helper is None or _helper[0] != os.getpid():  # an inherited one is dropped unused
+        _helper = _fork_helper()
+    conn, claims = _helper[2:]
+    claims[:] = 0
+    mine = None
+    try:
+        params = _flat(model.registry.named_arrays().values())
+        conn.send((kind, model.config, model.dtype, params, np.geterr(), args))
+        mine = own(claims)
+        return mine, conn.recv()
+    except (EOFError, OSError):
+        close_helper()
+        return mine, None
+    except BaseException:
+        close_helper()
+        raise
+
+
+def _step_grads(model: SegModel, batch, noise, cfg: TrainConfig) -> dict:
+    """Set each parameter's gradient for a training batch and return its loss parts.
+    The front ceil(B/2) samples are computed here and the rest by the helper, or
+    here too on one usable core; each half's loss is scaled by its share of B and
+    the halves are added front + back, so the bytes are the same on any core count."""
+    n = len(batch[0])
+    cut = -(-n // 2)
+    halves = [([a[i:j] for a in batch], None if noise is None else noise[i:j], (j - i) / n, cfg)
+              for i, j in ((0, cut), (cut, n)) if j > i]
+    done = [None] * len(halves)
+    if len(halves) > 1 and _two_cores():
+        done = _share("step", model, halves[1], lambda _: _half_grads(model, *halves[0]))
+    losses, grads = zip(*(d or _half_grads(model, *h) for d, h in zip(done, halves)))
+    tensors = model.registry.tensors.values()
+    for t, grad in zip(tensors, _cut(reduce(np.add, grads), [t.data for t in tensors])):
+        t.grad = grad
+    return {name: sum(part[name] for part in losses) for name in losses[0]}
+
+
 def predict(model: SegModel, images, batch: int) -> np.ndarray:
     """Inference probabilities (N,H,W) for (N,H,W) images, ``batch`` per forward;
     the latents are the distribution means, so ``batch`` does not change them.
     With two usable cores this process's helper computes batches from the back
     and this process from the front; the bytes and errors are the sequential loop's."""
-    global _helper
     images = np.asarray(images, dtype=model.dtype)
     out = np.zeros(images.shape, dtype=model.dtype)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    front = 0  # batches done here; the helper's, or all past these if it fails, come after
-    if len(images) > batch and cores > 1 and hasattr(os, "fork"):
-        if _helper is None or _helper[0] != os.getpid():  # an inherited one is dropped unused
-            _helper = _fork_helper()
-        conn, claims = _helper[2:]
-        claims[:] = 0
-        try:
-            params = [t.data for t in model.registry.tensors.values()]
-            conn.send((model.config, model.dtype, params, images, batch, np.geterr()))
-            front = _predict_claimed(model, images, batch, out, claims, 0)
-            first, out[first:] = conn.recv()
+    front = None  # batches done here; the helper's, or all past these if it fails, come after
+    if len(images) > batch and _two_cores():
+        front, reply = _share("predict", model, (images, batch),
+                              lambda claims: _predict_claimed(model, images, batch, out, claims, 0))
+        if reply is not None:
+            first, out[first:] = reply
             return out
-        except (EOFError, OSError):  # the helper died: its batches, or its error, come from here
-            close_helper()
-        except BaseException:  # this process's batches raised or were interrupted
-            close_helper()
-            raise
-    _predict_claimed(model, images, batch, out, np.array([front, 0]), 0)
+    _predict_claimed(model, images, batch, out, np.array([front or 0, 0]), 0)
     return out
 
 
@@ -382,14 +459,13 @@ def fit(cfg: TrainConfig, records=None, csv_path=None, checkpoint_path=None,
                     batch = [p[idx] for p in planes]
                     if cfg.augment:
                         batch = augment_batch(batch, erng)
-                    images, masks, *band = batch
-                    result = model.forward(images, masks, training=True, rng=erng)
-                    parts = compute_losses(result, masks, cfg, *band)
-                    model.registry.zero_grad()
-                    T.backward(parts["total"])
+                    # drawn after the augmentation's draws, once per step, by either core count
+                    noise = (erng.standard_normal((len(idx), cfg.k))
+                             if cfg.use_gsm or cfg.use_cibm else None)
+                    parts = _step_grads(model, batch, noise, cfg)
                     opt.step(lr)
-                    for name, part in parts.items():
-                        sums[name] += part.item()
+                    for name, value in parts.items():
+                        sums[name] += value
                     steps += 1
                 losses = {k: v / max(steps, 1) for k, v in sums.items()}
                 where = f"epoch {epoch} evaluation after step {steps - 1}"
@@ -423,8 +499,8 @@ def gradient_check(k=8, size=32, batch=2, seed=0, band_width=2,
                    max_probes=40, eps=1e-5) -> dict:
     """Finite-difference audit of every loss part on a small 64-bit model.
 
-    Each forward draws its latent noise from a fresh generator of one
-    stream, so every probe re-evaluates the same deterministic graph.
+    Every forward takes the same latent noise, so every probe
+    re-evaluates the same deterministic graph.
     Returns {part: max relative gradient error} for bce, dice, kl,
     usd, and total.
     """
@@ -435,9 +511,10 @@ def gradient_check(k=8, size=32, batch=2, seed=0, band_width=2,
     cfg = TrainConfig(k=k, size=size, batch=batch, seed=seed, band_width=band_width,
                       n_samples=max(batch, 2), epochs=1).validate()
 
+    noise = derive_rng(seed, "gradcheck", "eps").standard_normal((batch, k))
+
     def forward():
-        return model.forward(images, masks, training=True,
-                             rng=derive_rng(seed, "gradcheck", "eps"))
+        return model.forward(images, masks, training=True, noise=noise)
 
     params = list(model.registry.tensors.values())
     out = {}

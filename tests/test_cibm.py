@@ -211,7 +211,7 @@ class TestClosedFormGate:
             return conv2d(x, kernel, bias)
 
         monkeypatch.setattr(T, "conv2d", spy)
-        model.forward(images, masks, training=True, rng=derive_rng(0, "eps"))
+        model.forward(images, masks, training=True, noise=derive_rng(0, "eps").standard_normal((2, 4)))
         depth = model.backbone.depth
         for stage, n in enumerate(model.backbone.stage_channels):
             res = size >> (depth - 1 - stage)

@@ -29,6 +29,16 @@ def test_parse_lines_basic():
     assert pairs == {"lr": "0.07", "schedule": "cosine"}
 
 
+def test_parse_lines_keeps_a_hash_inside_a_value(tmp_path):
+    # a comment starts a line or follows whitespace; elsewhere `#` is text
+    pairs = parse_config_lines(["data = d#1", "lr = 0.1  # note", "seed = 3\t# tab"])
+    assert pairs == {"data": "d#1", "lr": "0.1", "seed": "3"}
+    path = tmp_path / "t.cfg"
+    path.write_text("data = d#1\nlr = 0.1  # note\n")
+    cfg = load_train_config(path)
+    assert (cfg.data, cfg.lr) == ("d#1", 0.1)
+
+
 def test_parse_lines_rejects_bare_token():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config_lines(["lr = 1", "oops"])

@@ -85,19 +85,25 @@ class TestKlLoss:
 
 class TestSampling:
     def test_frozen_eps_replay_is_exact(self):
-        # eps is frozen in the generator's stream: a fresh generator of the
-        # same stream replays the draw bit for bit
+        # the latent is a function of the caller's draw: two draws of one
+        # stream replay it bit for bit
         gset = gsm.GaussianSet.from_arrays([1.0, -2.0, 0.5], [0.3, 1.5, 2.0])
-        first = gsm.sample(gset, rng=derive_rng(9, "latent"))
-        again = gsm.sample(gset, rng=derive_rng(9, "latent"))
+        first = gsm.sample(gset, derive_rng(9, "latent").standard_normal(3))
+        again = gsm.sample(gset, derive_rng(9, "latent").standard_normal(3))
         assert not np.array_equal(first.data, gset.mu.data)
         np.testing.assert_array_equal(first.data, again.data)
 
     def test_affine_identity(self):
         gset = gsm.GaussianSet.from_arrays([1.0, -2.0], [0.5, 3.0])
-        z = gsm.sample(gset, rng=derive_rng(3, "latent"))
+        z = gsm.sample(gset, derive_rng(3, "latent").standard_normal(2))
         eps = derive_rng(3, "latent").standard_normal(2)
         np.testing.assert_allclose(z.data, eps * gset.sigma.data + gset.mu.data, atol=1e-15)
+
+    def test_noise_of_another_shape_rejected(self):
+        # a (K,) draw would broadcast over a (B,K) set: every sample one latent
+        gset = gsm.GaussianSet.standard((2, 3))
+        with pytest.raises(T.ShapeError, match=r"noise \(3,\) for distributions \(2, 3\)"):
+            gsm.sample(gset, np.zeros(3))
 
     def test_zero_eps_collapses_to_mean(self):
         gset = gsm.GaussianSet.from_arrays([4.0, -1.0], [2.0, 0.1])
@@ -110,7 +116,7 @@ class TestSampling:
         for i, (mu, sig) in enumerate(pairs):
             # one (100000,) draw takes the stream's values that 100,000 scalar draws would
             gset = gsm.GaussianSet.from_arrays([mu] * 100_000, [sig] * 100_000)
-            zs = gsm.sample(gset, rng=derive_rng(100 + i, "mc")).data
+            zs = gsm.sample(gset, derive_rng(100 + i, "mc").standard_normal(100_000)).data
             assert abs(zs.mean() - mu) < 0.05 * max(1.0, sig)
             assert abs(zs.std() - sig) < 0.05 * max(1.0, sig)
 
@@ -120,15 +126,15 @@ class TestSampling:
         sigma = T.Tensor(np.array([1.2, 0.7]), requires_grad=True)
         gset = gsm.GaussianSet(mu, sigma)
         eps = derive_rng(5, "latent").standard_normal(2)
-        T.backward(T.tsum(gsm.sample(gset, rng=derive_rng(5, "latent"))))
+        T.backward(T.tsum(gsm.sample(gset, eps)))
         np.testing.assert_array_equal(mu.grad, [1.0, 1.0])
         np.testing.assert_allclose(sigma.grad, eps, atol=1e-12)
 
     def test_sample_gradient_finite_differences(self):
         def f(params):
-            # a fresh generator per call replays one draw on every probe
+            # one draw on every probe
             mu, ls = params
-            z = gsm.sample(gsm.GaussianSet(mu, T.exp(ls)), rng=derive_rng(6, "latent"))
+            z = gsm.sample(gsm.GaussianSet(mu, T.exp(ls)), derive_rng(6, "latent").standard_normal(3))
             return T.tsum(T.mul(z, z))
 
         raw = [T.Tensor(np.array([0.4, -0.7, 1.2]), requires_grad=True),

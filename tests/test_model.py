@@ -74,7 +74,7 @@ def test_training_with_gsm_requires_masks():
 
 
 def test_deterministic_inference_default():
-    # rng=None takes the distribution mean, so inference is a pure function
+    # noise=None takes the distribution mean, so inference is a pure function
     images, _ = _batch()
     model = SegModel(ModelConfig(**CFG), seed=0)
     a = model.forward(images, training=False)
@@ -85,19 +85,18 @@ def test_deterministic_inference_default():
 def test_stochastic_inference_differs():
     images, _ = _batch()
     model = SegModel(ModelConfig(**CFG), seed=0)
-    a = model.forward(images, training=False, rng=derive_rng(1, "eval"))
-    b = model.forward(images, training=False, rng=derive_rng(2, "eval"))
+    a = model.forward(images, training=False, noise=derive_rng(1, "eval").standard_normal((2, 8)))
+    b = model.forward(images, training=False, noise=derive_rng(2, "eval").standard_normal((2, 8)))
     assert not np.array_equal(a.pred.data, b.pred.data)
 
 
 def test_frozen_eps_replays_forward():
-    # the latent's only noise source is the generator, so eps is frozen in
-    # its stream: two fresh generators of one stream give the same draw and
-    # the same prediction
+    # the latent's only noise source is the caller's draw: two draws of one
+    # stream give the same latent and the same prediction
     images, masks = _batch()
     model = SegModel(ModelConfig(**CFG), seed=0)
-    a = model.forward(images, masks, training=True, rng=derive_rng(0, "eps"))
-    b = model.forward(images, masks, training=True, rng=derive_rng(0, "eps"))
+    a = model.forward(images, masks, training=True, noise=derive_rng(0, "eps").standard_normal((2, 8)))
+    b = model.forward(images, masks, training=True, noise=derive_rng(0, "eps").standard_normal((2, 8)))
     mean = model.forward(images, masks, training=True)
     assert not np.array_equal(a.latent.data, mean.latent.data)
     np.testing.assert_array_equal(a.latent.data, b.latent.data)
@@ -106,10 +105,10 @@ def test_frozen_eps_replays_forward():
 
 def test_mixer_only_variant_uses_fixed_source():
     # without the distribution heads the mixer draws from a unit Gaussian,
-    # so the latent is rng-driven and carries no gradient into parameters
+    # so the latent is noise-driven and carries no gradient into parameters
     images, masks = _batch()
     model = SegModel(ModelConfig(use_gsm=False, use_cibm=True, **CFG), seed=0)
-    out = model.forward(images, masks, training=True, rng=derive_rng(0, "z"))
+    out = model.forward(images, masks, training=True, noise=derive_rng(0, "z").standard_normal((2, 8)))
     assert out.prior is None and out.latent is not None
     param_ids = {id(t) for t in model.registry.tensors.values()}
     assert not (T.ancestors(out.latent) & param_ids)
@@ -118,14 +117,14 @@ def test_mixer_only_variant_uses_fixed_source():
 def test_latent_reaches_prediction_when_mixer_on():
     images, masks = _batch()
     model = SegModel(ModelConfig(use_gsm=True, use_cibm=True, **CFG), seed=0)
-    out = model.forward(images, masks, training=True, rng=derive_rng(0, "z"))
+    out = model.forward(images, masks, training=True, noise=derive_rng(0, "z").standard_normal((2, 8)))
     assert id(out.latent) in T.ancestors(out.logits)
 
 
 def test_latent_unused_without_mixer():
     images, masks = _batch()
     model = SegModel(ModelConfig(use_gsm=True, use_cibm=False, **CFG), seed=0)
-    out = model.forward(images, masks, training=True, rng=derive_rng(0, "z"))
+    out = model.forward(images, masks, training=True, noise=derive_rng(0, "z").standard_normal((2, 8)))
     assert id(out.latent) not in T.ancestors(out.logits)
 
 

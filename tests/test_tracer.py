@@ -43,7 +43,7 @@ def test_traced_full_forward_records_every_latent_span(monkeypatch):
     model = SegModel(ModelConfig(k=4, size=16), seed=0)
     tracer.install("t")
     try:
-        out = model.forward(images, masks, training=True, rng=derive_rng(0, "z"))
+        out = model.forward(images, masks, training=True, noise=derive_rng(0, "z").standard_normal((2, 4)))
         cfg = TrainConfig(k=4, size=16, n_samples=2)
         T.backward(train.compute_losses(out, masks[:, None], cfg)["total"])
     finally:

@@ -3,6 +3,7 @@
 import csv
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -124,7 +125,7 @@ def _forward_losses(use_gsm, use_cibm):
     images = np.stack([r.image for r in records]).astype(np.float32)
     masks = np.stack([r.mask for r in records]).astype(np.float32)
     model = SegModel(cfg.model_config(), cfg.seed)
-    out = model.forward(images, masks, training=True, rng=derive_rng(0, "z"))
+    out = model.forward(images, masks, training=True, noise=derive_rng(0, "z").standard_normal((2, cfg.k)))
     return {name: part.item() for name, part in compute_losses(out, masks, cfg).items()}
 
 
@@ -534,7 +535,8 @@ def _assert_no_child_left():
 @pytest.fixture
 def forks(monkeypatch):
     """Two usable cores whatever the host has, a count of ``os.fork`` calls,
-    and no helper yet: the first ``predict`` forks one that sees the test's patches."""
+    and no helper yet: the first ``predict`` or split training step forks one
+    that sees the test's patches."""
     train.close_helper()
     count = []
     real_fork = os.fork
@@ -684,7 +686,8 @@ def test_predict_follows_the_weights_dtype_and_config_of_each_call(forks):
     for sub, model in runs * 2:  # config and dtype change from call to call
         before = predict(model, images, 4)
         assert np.array_equal(before, _sequential_predict(model, images, 4))
-        result = model.forward(images[:4], masks[:4], training=True, rng=derive_rng(0, "step"))
+        result = model.forward(images[:4], masks[:4], training=True,
+                               noise=derive_rng(0, "step").standard_normal((4, sub.k)))
         model.registry.zero_grad()
         T.backward(compute_losses(result, masks[:4], sub)["total"])
         SGD(model.registry, 0.0, 0.0).step(0.1)
@@ -790,6 +793,93 @@ def test_the_helper_does_not_outlive_its_owner(end):
     if holder != "None":
         os.kill(int(holder), signal.SIGKILL)
     assert gone
+
+
+# -- the split training step -------------------------------------------------
+
+# 13 train records in batches of 3: 3, 3, 3, 3 and a batch of 1, which is not split
+SPLIT = {**TINY, "n_samples": 19, "batch": 3, "epochs": 2}
+
+
+def _one_core(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    train.close_helper()
+
+
+@pytest.mark.parametrize("variant", [{"use_gsm": False, "use_cibm": False}, {}, {"augment": True}],
+                         ids=["backbone", "full", "full, augment"])
+def test_a_fit_writes_the_same_bytes_on_one_core_and_on_two(tmp_path, monkeypatch, forks, variant):
+    cfg = TrainConfig(**{**SPLIT, **variant}).validate()
+    two = fit(cfg, csv_path=tmp_path / "two.csv", checkpoint_path=tmp_path / "two.ckpt")
+    assert len(forks) == 1 and len(two.train_records) == 13
+    _one_core(monkeypatch)
+    fit(cfg, csv_path=tmp_path / "one.csv", checkpoint_path=tmp_path / "one.ckpt")
+    assert len(forks) == 1
+    assert (tmp_path / "one.ckpt").read_bytes() == (tmp_path / "two.ckpt").read_bytes()
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["backbone", "full"])
+def test_the_halves_add_up_to_the_whole_batch(on):
+    cfg = TrainConfig(**{**TINY, "use_gsm": on, "use_cibm": on}).validate()
+    records = generate_synthetic(5, cfg.size, cfg.seed)
+    arrays = [np.stack([getattr(r, f) for r in records])[:, None].astype(np.float64)
+              for f in ("image", "mask")]
+    noise = derive_rng(0, "noise").standard_normal((5, cfg.k))
+    model = SegModel(cfg.model_config(), cfg.seed, dtype=np.float64)
+    whole = compute_losses(model.forward(*arrays, training=True, noise=noise), arrays[1], cfg)
+    model.registry.zero_grad()
+    T.backward(whole["total"])
+    expected = [t.grad for t in model.registry.tensors.values()]
+    front = train._half_grads(model, [a[:3] for a in arrays], noise[:3], 3 / 5, cfg)
+    back = train._half_grads(model, [a[3:] for a in arrays], noise[3:], 2 / 5, cfg)
+    for name, part in whole.items():
+        assert front[0][name] + back[0][name] == pytest.approx(part.item(), rel=1e-12), name
+    summed = train._cut(front[1] + back[1], expected)
+    for name, want, got in zip(model.registry.tensors, expected, summed, strict=True):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("half", [0, 1], ids=["front", "back"])
+def test_a_non_finite_half_gives_the_one_core_error(monkeypatch, forks, half):
+    cfg = TrainConfig(**SPLIT).validate()
+    records = generate_synthetic(cfg.n_samples, cfg.size, cfg.seed)
+    train_records, _ = split_dataset(records, cfg.split_fraction, cfg.seed)
+    order = derive_rng(cfg.seed, "epoch", 0).permutation(len(train_records))
+    train_records[order[3 + 2 * half]].image[0, 0] = np.inf  # step 1, front or back half
+    errors = []
+    for _ in range(2):
+        with pytest.raises(TrainingError, match="^epoch 0 step 1: ") as caught:
+            fit(cfg, records=records)
+        errors.append(str(caught.value))
+        _assert_no_child_left()  # the helper that met the error, or was killed, is reaped
+        _one_core(monkeypatch)
+    assert errors[0] == errors[1] and len(forks) == 1
+
+
+def test_a_helper_killed_between_epochs_leaves_the_same_bytes(tmp_path, forks):
+    cfg = TrainConfig(**SPLIT).validate()
+    fit(cfg, checkpoint_path=tmp_path / "straight.ckpt")
+    train.close_helper()
+
+    def kill_helper(_line):
+        os.kill(train._helper[1], signal.SIGKILL)
+
+    fit(cfg, checkpoint_path=tmp_path / "killed.ckpt", log=kill_helper)
+    assert len(forks) == 3  # the straight run's helper, then one per epoch of the killed run
+    assert (tmp_path / "straight.ckpt").read_bytes() == (tmp_path / "killed.ckpt").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(train._libc, "mallopt"), reason="glibc's mallopt only")
+def test_an_evaluation_after_split_steps_takes_few_page_faults(forks):
+    # the benchmark's full-model shape; without the pinned malloc thresholds
+    # every evaluation call faulted in thousands of pages afresh
+    cfg = TrainConfig(n_samples=256, size=32, k=16, batch=8, epochs=1, augment=False,
+                      lr=0.05, weight_decay=0.0).validate()
+    result = fit(cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evaluate_model(result.model, result.test_records, cfg)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 def test_evaluate_empty_records():

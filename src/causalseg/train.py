@@ -11,7 +11,6 @@ import csv
 import ctypes
 import io
 import math
-import mmap
 import os
 import signal
 from dataclasses import asdict, dataclass, replace
@@ -152,21 +151,6 @@ class FitResult:
     test_records: list
 
 
-def _predict_claimed(model: SegModel, images: np.ndarray, batch: int, out: np.ndarray,
-                     claims: np.ndarray, side: int) -> int:
-    """Forward into ``out`` the batches this process claims; return how many it
-    claimed.  ``claims`` counts the batches claimed from the front (side 0) and
-    from the back (side 1); each side takes the next batch at its end until the
-    two meet.  A count read late makes both compute one batch, never neither."""
-    n = -(-len(images) // batch)
-    while claims[0] + claims[1] < n:
-        i = claims[0] if side == 0 else n - 1 - claims[1]
-        claims[side] += 1
-        rows = slice(i * batch, (i + 1) * batch)
-        out[rows] = model.forward(images[rows], training=False).pred.data[:, 0]
-    return int(claims[side])
-
-
 def _flat(arrays) -> np.ndarray:
     """``arrays`` raveled end to end: the pipe then pickles one array, not one per parameter."""
     return np.concatenate([a.ravel() for a in arrays])
@@ -191,40 +175,30 @@ def _half_grads(model: SegModel, arrays, noise, share: float, cfg: TrainConfig) 
             _flat([t.grad for t in model.registry.tensors.values()]))
 
 
-_helper = None  # (owner pid, helper pid, connection, claims): this process's helper
+_helper = None  # (owner pid, helper pid, connection): this process's helper
 
 
 def _fork_helper() -> tuple:
-    """Fork the helper, which serves each ``predict`` call's batches from the back
-    and each training step's back half, under the caller's error state, until an
-    error, EOF or its owner is gone."""
-    claims = np.frombuffer(mmap.mmap(-1, 16), np.int64, 2)  # shared front and back counts
+    """Fork the helper, which runs each ``_halves`` call's back half under the
+    caller's error state until an error, EOF or its owner is gone."""
     ours, theirs = Pipe()
     owner, pid = os.getpid(), os.fork()
     if pid:
         theirs.close()
-        return owner, pid, ours, claims
+        return owner, pid, ours
     try:  # the helper leaves through os._exit on every path, an error or EOF included
         ours.close()
         model = None
         while os.getppid() == owner:
             if theirs.poll(1.0):
-                kind, config, dtype, params, err, args = theirs.recv()
+                fn, config, dtype, params, err, args = theirs.recv()
                 if model is None or (model.config, model.dtype) != (config, dtype):
                     model = SegModel(config, 0, dtype)
                 arrays = list(model.registry.named_arrays().values())
                 for data, sent in zip(arrays, _cut(params, arrays)):
                     data[...] = sent
                 with np.errstate(**err):  # not the state this process was forked under
-                    if kind == "step":
-                        reply = _half_grads(model, *args)
-                    else:
-                        images, batch = args
-                        out = np.empty_like(images)
-                        back = _predict_claimed(model, images, batch, out, claims, 1)
-                        first = (-(-len(images) // batch) - back) * batch
-                        reply = first, out[first:]
-                theirs.send(reply)
+                    theirs.send(fn(model, *args))
     finally:
         os._exit(0)
 
@@ -233,7 +207,7 @@ def close_helper():
     """Kill and reap this process's helper; drop one inherited through os.fork."""
     global _helper
     if _helper is not None:
-        (owner, pid, conn, _), _helper = _helper, None
+        (owner, pid, conn), _helper = _helper, None
         conn.close()
         if owner == os.getpid():
             os.kill(pid, signal.SIGKILL)
@@ -248,65 +222,70 @@ def _two_cores() -> bool:
     return cores > 1 and hasattr(os, "fork")
 
 
-def _share(kind: str, model: SegModel, args, own) -> tuple:
-    """Send this process's helper ``(kind, args)`` with ``model``'s parameters, run
-    ``own(claims)`` here meanwhile, and return own's result and the helper's reply.
-    Either is None if the helper died first: its part, or its error, then falls to
-    the caller.  If ``own`` raises or is interrupted, the helper is killed first."""
+def _halves(fn, model: SegModel, front, back) -> list:
+    """``[fn(model, *front), fn(model, *back)]``, ``fn`` a module-level function.
+    With two usable cores this process's helper computes the back meanwhile, on
+    ``model``'s parameters.  If the helper is gone (EOF, a broken pipe, a failed
+    fork), this process computes the back itself after the front, so the results
+    and the first error are those of one process.  If the front raises or is
+    interrupted, the helper is killed first."""
     global _helper
-    if _helper is None or _helper[0] != os.getpid():  # an inherited one is dropped unused
-        _helper = _fork_helper()
-    conn, claims = _helper[2:]
-    claims[:] = 0
     mine = None
-    try:
-        params = _flat(model.registry.named_arrays().values())
-        conn.send((kind, model.config, model.dtype, params, np.geterr(), args))
-        mine = own(claims)
-        return mine, conn.recv()
-    except (EOFError, OSError):
-        close_helper()
-        return mine, None
-    except BaseException:
-        close_helper()
-        raise
+    if _two_cores():
+        try:
+            if _helper is None or _helper[0] != os.getpid():  # an inherited one is dropped unused
+                _helper = _fork_helper()
+            params = _flat(model.registry.named_arrays().values())
+            _helper[2].send((fn, model.config, model.dtype, params, np.geterr(), back))
+            mine = fn(model, *front)
+            return [mine, _helper[2].recv()]
+        except (EOFError, OSError):
+            close_helper()
+        except BaseException:
+            close_helper()
+            raise
+    if mine is None:
+        mine = fn(model, *front)
+    return [mine, fn(model, *back)]
 
 
 def _step_grads(model: SegModel, batch, noise, cfg: TrainConfig) -> dict:
     """Set each parameter's gradient for a training batch and return its loss parts.
-    The front ceil(B/2) samples are computed here and the rest by the helper, or
-    here too on one usable core; each half's loss is scaled by its share of B and
-    the halves are added front + back, so the bytes are the same on any core count."""
+    The front ceil(B/2) samples and the rest are computed through ``_halves``; each
+    half's loss is scaled by its share of B and the halves are added front + back,
+    so the bytes are the same on any core count."""
     n = len(batch[0])
     cut = -(-n // 2)
     halves = [([a[i:j] for a in batch], None if noise is None else noise[i:j], (j - i) / n, cfg)
               for i, j in ((0, cut), (cut, n)) if j > i]
-    done = [None] * len(halves)
-    if len(halves) > 1 and _two_cores():
-        done = _share("step", model, halves[1], lambda _: _half_grads(model, *halves[0]))
-    losses, grads = zip(*(d or _half_grads(model, *h) for d, h in zip(done, halves)))
+    done = _halves(_half_grads, model, *halves) if len(halves) > 1 else [_half_grads(model, *halves[0])]
+    losses, grads = zip(*done)
     tensors = model.registry.tensors.values()
     for t, grad in zip(tensors, _cut(reduce(np.add, grads), [t.data for t in tensors])):
         t.grad = grad
     return {name: sum(part[name] for part in losses) for name in losses[0]}
 
 
+def _predict_rows(model: SegModel, images: np.ndarray, batch: int) -> np.ndarray:
+    """Probabilities (N,H,W) for (N,H,W) ``images``, ``batch`` per forward, in one process."""
+    out = np.empty_like(images)
+    for i in range(0, len(images), batch):
+        out[i:i + batch] = model.forward(images[i:i + batch], training=False).pred.data[:, 0]
+    return out
+
+
 def predict(model: SegModel, images, batch: int) -> np.ndarray:
     """Inference probabilities (N,H,W) for (N,H,W) images, ``batch`` per forward;
     the latents are the distribution means, so ``batch`` does not change them.
-    With two usable cores this process's helper computes batches from the back
-    and this process from the front; the bytes and errors are the sequential loop's."""
+    Two or more batches go through ``_halves``, cut after the front ceil(n/2)
+    batches, so every forward sees the batch it sees alone: the bytes and errors
+    are the sequential loop's."""
     images = np.asarray(images, dtype=model.dtype)
-    out = np.zeros(images.shape, dtype=model.dtype)
-    front = None  # batches done here; the helper's, or all past these if it fails, come after
-    if len(images) > batch and _two_cores():
-        front, reply = _share("predict", model, (images, batch),
-                              lambda claims: _predict_claimed(model, images, batch, out, claims, 0))
-        if reply is not None:
-            first, out[first:] = reply
-            return out
-    _predict_claimed(model, images, batch, out, np.array([front or 0, 0]), 0)
-    return out
+    if len(images) <= batch:
+        return _predict_rows(model, images, batch)
+    cut = -(-len(images) // (2 * batch)) * batch
+    return np.concatenate(_halves(_predict_rows, model, (images[:cut], batch),
+                                  (images[cut:], batch)))
 
 
 def evaluate_model(model: SegModel, records, cfg: TrainConfig) -> tuple[list, dict]:

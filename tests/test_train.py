@@ -1,6 +1,7 @@
 """Training loop: schedules, optimizer math, resume determinism, drivers."""
 
 import csv
+import errno
 import os
 import re
 import resource
@@ -569,12 +570,18 @@ def test_predict_equals_the_sequential_loop(predict_models, forks, count, batch,
     assert len(forks) == (n > batch)  # the helper, once there are two batches
 
 
-@pytest.mark.parametrize("no_second_core", ["one core", "no fork", "no affinity"])
+def _no_fork():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))  # as at the process limit
+
+
+@pytest.mark.parametrize("no_second_core", ["one core", "no fork", "no affinity", "fork fails"])
 def test_predict_runs_in_one_process_without_a_second_core(
         predict_models, forks, monkeypatch, no_second_core):
     images, models = predict_models
     if no_second_core == "one core":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif no_second_core == "fork fails":
+        monkeypatch.setattr(os, "fork", _no_fork)
     else:
         monkeypatch.delattr(os, "fork" if no_second_core == "no fork" else "sched_getaffinity")
     out = predict(models[np.float32], images[:20], 4)
@@ -586,7 +593,7 @@ def test_predict_runs_in_one_process_without_a_second_core(
 def test_predict_raises_the_error_of_the_sequential_loop(predict_models, forks, monkeypatch,
                                                          index):
     images, models = predict_models
-    images = images[:20].copy()  # 5 batches of 4: this process starts at image 0, the helper at 16
+    images = images[:20].copy()  # 5 batches of 4: this process takes images 0-11, the helper 12-19
     images[index] = 2.0  # outside [0, 1]: a mark the patched forward refuses
     real_forward = SegModel.forward
 
@@ -608,8 +615,8 @@ def test_predict_raises_the_error_of_the_sequential_loop(predict_models, forks, 
 @pytest.mark.parametrize("slow", ["parent", "child"])
 def test_predict_gives_the_same_bytes_wherever_the_processes_meet(predict_models, forks,
                                                                   monkeypatch, slow):
-    """A slow side leaves the other almost every batch: the two claims then
-    meet at either end of the batches."""
+    """The halves are fixed: a slow side makes the other wait for it, and
+    changes no byte."""
     images, models = predict_models
     expected = _sequential_predict(models[np.float32], images, 8)
     parent, real_forward = os.getpid(), SegModel.forward
@@ -624,21 +631,6 @@ def test_predict_gives_the_same_bytes_wherever_the_processes_meet(predict_models
     train.close_helper()
     _assert_no_child_left()
     assert len(forks) == 1 and np.array_equal(out, expected)
-
-
-@pytest.mark.parametrize("claims", [(0, 0), (4, 0), (3, 4), (9, 0), (0, 9)])
-def test_predict_claims_cover_the_batches_between_the_claims(predict_models, claims):
-    """Given the counts claimed from the front and from the back, either side
-    alone computes every batch between them, and only those."""
-    images, models = predict_models
-    expected = _sequential_predict(models[np.float32], images, 8)
-    lo, hi = claims[0] * 8, (10 - claims[1]) * 8  # 77 images: 10 batches of 8
-    for side in (0, 1):
-        out = np.zeros_like(expected)
-        last = train._predict_claimed(models[np.float32], images, 8, out, np.array(claims), side)
-        assert last == 10 - claims[1 - side]
-        assert np.array_equal(out[lo:hi], expected[lo:hi])
-        assert not out[:lo].any() and not out[hi:].any()
 
 
 def test_predict_interrupted_in_the_parent_kills_the_child(predict_models, forks, monkeypatch):
@@ -675,6 +667,23 @@ def test_predict_recomputes_the_half_of_a_child_that_dies(predict_models, forks,
     assert len(forks) == 1 and np.array_equal(out, expected)
 
 
+def test_predict_after_its_helper_is_killed_computes_the_back_itself(predict_models, forks):
+    images, models = predict_models
+    model = models[np.float32]
+    expected = _sequential_predict(model, images, 8)
+    assert np.array_equal(predict(model, images, 8), expected)
+    helper = train._helper[1]
+    os.kill(helper, signal.SIGKILL)
+    os.waitid(os.P_PID, helper, os.WEXITED | os.WNOWAIT)  # dead, and not reaped yet
+    assert np.array_equal(predict(model, images, 8), expected)  # sent to a dead helper
+    _assert_no_child_left()
+    assert len(forks) == 1 and train._helper is None
+    assert np.array_equal(predict(model, images, 8), expected)
+    assert len(forks) == 2 and train._helper is not None  # the next call forks a fresh one
+    train.close_helper()
+    _assert_no_child_left()
+
+
 def test_predict_follows_the_weights_dtype_and_config_of_each_call(forks):
     cfg = TrainConfig(**TINY).validate()
     records = generate_synthetic(20, cfg.size, cfg.seed)
@@ -702,7 +711,7 @@ def test_predict_follows_the_weights_dtype_and_config_of_each_call(forks):
 def test_predict_runs_the_helper_under_the_callers_error_state(predict_models, forks):
     images, models = predict_models
     images = images[:20].copy()
-    images[19] = 1e38  # overflows float32 in the last batch, the helper's first
+    images[19] = 1e38  # overflows float32 in the last batch, which is in the helper's half
     model = models[np.float32]
     with np.errstate(all="ignore"):  # the helper is forked under fit's state
         predict(model, images[:8], 4)
@@ -868,6 +877,18 @@ def test_a_helper_killed_between_epochs_leaves_the_same_bytes(tmp_path, forks):
     fit(cfg, checkpoint_path=tmp_path / "killed.ckpt", log=kill_helper)
     assert len(forks) == 3  # the straight run's helper, then one per epoch of the killed run
     assert (tmp_path / "straight.ckpt").read_bytes() == (tmp_path / "killed.ckpt").read_bytes()
+
+
+def test_a_fit_whose_fork_fails_gives_the_parameters_of_one_with_a_helper(monkeypatch, forks):
+    cfg = TrainConfig(**SPLIT).validate()
+    helped = fit(cfg).model.registry.named_arrays()
+    train.close_helper()
+    monkeypatch.setattr(os, "fork", _no_fork)
+    alone = fit(cfg).model.registry.named_arrays()
+    assert len(forks) == 1 and train._helper is None
+    _assert_no_child_left()
+    for name, data in helped.items():
+        assert np.array_equal(alone[name], data), name
 
 
 @pytest.mark.skipif(not hasattr(train._libc, "mallopt"), reason="glibc's mallopt only")

@@ -75,8 +75,6 @@ def load_checkpoint(path) -> Checkpoint:
     npy header declares, so a damaged shape would load a short array."""
     try:
         raw = Path(path).read_bytes()
-        if raw.startswith(b"MAMBO1"):
-            raise CheckpointError("a MAMBO1 checkpoint, a format no longer read; train again")
         with zipfile.ZipFile(io.BytesIO(raw)) as archive:
             damaged = archive.testzip()
         if damaged is not None:

@@ -17,16 +17,6 @@ DICE_SMOOTH = 1e-6
 
 
 @dataclass
-class ConfusionCounts:
-    """Per-image pixel counts, each an (N,) integer array."""
-
-    tp: np.ndarray
-    fp: np.ndarray
-    tn: np.ndarray
-    fn: np.ndarray
-
-
-@dataclass
 class Metrics:
     dice: float
     iou: float
@@ -87,16 +77,6 @@ def _rows(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pred.reshape(n, -1), truth.reshape(n, -1) > 0.5
 
 
-def confusion_counts(pred: np.ndarray, truth: np.ndarray, threshold: float = 0.5) -> ConfusionCounts:
-    """Per-image (N,) counts of an (N, ...) batch; pred >= threshold is positive."""
-    scores, labels = _rows(pred, truth)
-    hard = scores >= threshold
-    tp = np.sum(hard & labels, axis=1)
-    fp = np.sum(hard, axis=1) - tp
-    fn = np.sum(labels, axis=1) - tp
-    return ConfusionCounts(tp=tp, fp=fp, tn=labels.shape[1] - tp - fp - fn, fn=fn)
-
-
 def auc_score(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-image Mann-Whitney AUC of an (N, ...) batch, ties counting one half.
 
@@ -125,11 +105,15 @@ def _ratio(num: np.ndarray, den: np.ndarray, empty: float) -> np.ndarray:
 
 
 def metrics(pred: np.ndarray, truth: np.ndarray, threshold: float = 0.5) -> list[Metrics]:
-    """Dice, IoU, FDR and AUC of each image of an (N, ...) batch."""
-    c = confusion_counts(pred, truth, threshold)
-    dice = _ratio(2.0 * c.tp, 2.0 * c.tp + c.fp + c.fn, 1.0)
-    iou = _ratio(c.tp, c.tp + c.fp + c.fn, 1.0)
-    fdr = _ratio(c.fp, c.fp + c.tp, 0.0)
+    """Dice, IoU, FDR and AUC of each image of an (N, ...) batch; pred >= threshold is positive."""
+    scores, labels = _rows(pred, truth)
+    hard = scores >= threshold
+    tp = np.sum(hard & labels, axis=1)
+    fp = np.sum(hard, axis=1) - tp
+    fn = np.sum(labels, axis=1) - tp
+    dice = _ratio(2.0 * tp, 2.0 * tp + fp + fn, 1.0)
+    iou = _ratio(tp, tp + fp + fn, 1.0)
+    fdr = _ratio(fp, fp + tp, 0.0)
     auc, degenerate = auc_score(pred, truth)
     return [Metrics(dice=float(d), iou=float(j), fdr=float(f), auc=float(a), auc_degenerate=bool(g))
             for d, j, f, a, g in zip(dice, iou, fdr, auc, degenerate)]

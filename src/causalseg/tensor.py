@@ -505,11 +505,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order  # inputs first, root last
 
 
-def backward(loss: Tensor) -> dict[int, np.ndarray]:
+def backward(loss: Tensor) -> None:
     """Accumulate d loss / d leaf into ``.grad`` of every requires-grad leaf
     reachable from ``loss``.
 
-    Returns {id(leaf tensor): grad} for reachable requires-grad leaves.
     Accumulation order is the fixed reverse topological order.  Leaves keep
     ``.grad``; an interior node's gradient is freed (``.grad = None``) as
     soon as its closure has passed it on.  The graph itself stays, so a
@@ -521,14 +520,10 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
         raise NonFiniteError("backward called on a non-finite loss")
     order = _topo_order(loss)
     loss._accumulate(np.ones_like(loss.data))
-    leaves = {}
     for node in reversed(order):
         if node._backward is not None and node.requires_grad:
             node._backward(node.grad)
             node.grad = None
-        elif not node._parents and node.requires_grad:
-            leaves[id(node)] = node.grad
-    return leaves
 
 
 def ancestors(t: Tensor) -> set[int]:

@@ -65,13 +65,13 @@ def test_save_is_deterministic(tmp_path):
 
 
 def test_rejects_bad_magic(tmp_path):
-    # a file in the old MAMBO1 format, a zip whose signature is damaged, and garbage
+    # a file in the old MAMBO1 format (not a zip), a zip whose signature is damaged, and garbage
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, _arrays(), CFG)
     damaged = b"XX" + path.read_bytes()[2:]
     mambo1 = (b"MAMBO1" + struct.pack("<II", 1, 4) + bytes(32) + struct.pack("<I", 1) + b"w"
               + struct.pack("<BBI", 0, 1, 1) + np.float32(1.0).tobytes())
-    for raw, match in [(mambo1, "MAMBO1"), (damaged, "enc.w.npy' is damaged"),
+    for raw, match in [(mambo1, "not a zip file"), (damaged, "enc.w.npy' is damaged"),
                        (b"not a checkpoint", "not a zip")]:
         path.write_bytes(raw)
         with pytest.raises(CheckpointError, match=match) as exc:

@@ -202,7 +202,7 @@ def test_evaluate_rejects_a_mambo1_checkpoint(tmp_path, capsys):
     old.write_bytes(b"MAMBO1" + bytes(40))
     code = main(["evaluate", "--checkpoint", str(old)])
     assert code == 2
-    assert f"error: cannot read checkpoint {old}: a MAMBO1 checkpoint" in capsys.readouterr().err
+    assert f"error: cannot read checkpoint {old}: File is not a zip file" in capsys.readouterr().err
 
 
 def test_evaluate_refuses_a_checkpoint_without_its_config(run_dir, tmp_path, capsys):

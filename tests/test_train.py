@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import gc
 import os
 import re
 import resource
@@ -106,10 +107,10 @@ def test_fit_names_the_parameter_an_infinite_step_left_non_finite(monkeypatch):
     real_backward = T.backward
 
     def backward_with_inf_grads(loss):
-        leaves = real_backward(loss)
-        for grad in leaves.values():
-            grad.flat[0] = np.inf
-        return leaves
+        real_backward(loss)
+        for node in T._topo_order(loss):
+            if not node._parents and node.requires_grad:  # a leaf: it keeps its .grad
+                node.grad.flat[0] = np.inf
 
     monkeypatch.setattr(T, "backward", backward_with_inf_grads)
     cfg = TrainConfig(**TINY).validate()
@@ -847,6 +848,25 @@ def test_the_halves_add_up_to_the_whole_batch(on):
     summed = train._cut(front[1] + back[1], expected)
     for name, want, got in zip(model.registry.tensors, expected, summed, strict=True):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0, err_msg=name)
+
+
+def test_a_step_and_an_inference_leave_no_reference_cycles():
+    # graphs are freed by reference counting alone, so cyclic GC finds nothing to collect
+    cfg = TrainConfig(**{**TINY, "use_gsm": True, "use_cibm": True}).validate()
+    records = generate_synthetic(3, cfg.size, cfg.seed)
+    images, masks = [np.stack([getattr(r, f) for r in records])[:, None].astype(np.float32)
+                     for f in ("image", "mask")]
+    band = boundary.boundary_band(masks, cfg.band_width)
+    noise = derive_rng(0, "noise").standard_normal((3, cfg.k))
+    model = SegModel(cfg.model_config(), cfg.seed)
+    gc.collect()
+    gc.disable()
+    try:
+        train._half_grads(model, [images, masks, band], noise, 1.0, cfg)
+        model.forward(images, training=False)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("half", [0, 1], ids=["front", "back"])

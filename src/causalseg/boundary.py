@@ -1,8 +1,9 @@
 """Sobel boundary bands and the uncertainty-weighted boundary loss.
 
 The band is the Chebyshev dilation (radius w) of the ground-truth mask's
-Sobel edge pixels; ``boundary_band`` returns the boolean band of every
-(H,W) plane of a (..., H, W) mask stack.  The loss and the uncertainty map
+Sobel edge pixels, where either float32 Sobel response is nonzero;
+``boundary_band`` returns the boolean band of every (H,W) plane of a
+(..., H, W) mask stack.  The loss and the uncertainty map
 work on (B,1,H,W) batches: on band pixels the loss is a cross-entropy
 weighted by (1 + V_i), where V_i is the squared deviation of each
 prediction from its image's band-mean prediction.  V is differentiable
@@ -10,7 +11,7 @@ through the predictions.
 """
 
 import numpy as np
-from scipy.ndimage import binary_dilation
+from scipy.ndimage import maximum_filter
 
 from . import tensor as T
 from .losses import cross_entropy
@@ -24,8 +25,15 @@ def _correlate3(masks: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # no full 3x3 window fits) is defined as zero so constant masks have no edges
     out = np.zeros_like(masks)
     win = np.lib.stride_tricks.sliding_window_view(masks, (3, 3), axis=(-2, -1))
-    np.einsum("...ijkl,kl->...ij", win, kernel, out=out[..., 1:-1, 1:-1])
+    np.einsum("...ijkl,kl->...ij", win, kernel.astype(masks.dtype), out=out[..., 1:-1, 1:-1])
     return out
+
+
+def _planes(masks, dtype, name: str) -> np.ndarray:
+    m = np.asarray(masks, dtype=dtype)
+    if m.ndim < 2 or m.shape[-2] < 3 or m.shape[-1] < 3:
+        raise T.ShapeError(f"{name} needs masks of at least 3x3, got {m.shape}")
+    return m
 
 
 def sobel_magnitude(masks: np.ndarray) -> np.ndarray:
@@ -34,24 +42,26 @@ def sobel_magnitude(masks: np.ndarray) -> np.ndarray:
     The response is computed where the full window fits and is zero on the
     image border, so uniform masks produce an identically zero map.
     """
-    m = np.asarray(masks, dtype=np.float64)
-    if m.ndim < 2 or m.shape[-2] < 3 or m.shape[-1] < 3:
-        raise T.ShapeError(f"sobel_magnitude needs masks of at least 3x3, got {m.shape}")
+    m = _planes(masks, np.float64, "sobel_magnitude")
     # in place: a whole split's float64 temporaries would set a fit's peak memory
     gx, gy = _correlate3(m, SOBEL_X), _correlate3(m, SOBEL_Y)
     return np.sqrt(np.add(np.square(gx, out=gx), np.square(gy, out=gy), out=gx), out=gx)
 
 
 def boundary_band(masks: np.ndarray, width: int = 2) -> np.ndarray:
-    """Boolean (..., H, W) bands of a (..., H, W) mask stack: each plane's
-    Sobel edge set dilated by a Chebyshev radius ``width``.  A uniform mask
-    (no edges) yields an empty band.
+    """Boolean (..., H, W) bands of a binary (..., H, W) mask stack: each
+    plane's Sobel edge set (``sobel_magnitude > 0``) dilated by a Chebyshev
+    radius ``width``.  A uniform mask (no edges) yields an empty band.
     """
     if width < 1:
         raise ValueError(f"band width must be >= 1, got {width}")
-    edges = sobel_magnitude(masks) > 0
+    # a binary mask's responses are small integers, exact in float32; an edge
+    # is where either is nonzero, so no magnitude is formed
+    m = _planes(masks, np.float32, "boundary_band")
+    edges = _correlate3(m, SOBEL_X) != 0
+    edges |= _correlate3(m, SOBEL_Y) != 0
     size = 2 * width + 1
-    return binary_dilation(edges, structure=np.ones((1,) * (edges.ndim - 2) + (size, size), bool))
+    return maximum_filter(edges, size=(1,) * (edges.ndim - 2) + (size, size), mode="constant", cval=0)
 
 
 def _band_sizes(band: np.ndarray, dtype) -> T.Tensor:

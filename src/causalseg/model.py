@@ -7,6 +7,7 @@ during training and is never evaluated at inference.  With CIBM alone (no
 learned prior) the latents come from a fixed standard normal.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,25 +63,27 @@ class SegModel:
         """images: (B,1,H,W) or (B,H,W); masks required when training with GSm.
 
         ``noise`` is the latent's (B,K) standard-normal draw; with
-        ``noise=None`` the latent is the distribution mean.
+        ``noise=None`` the latent is the distribution mean.  With
+        ``training=False`` no graph is kept: the outputs are values only.
         """
-        x = images if isinstance(images, T.Tensor) else self._as_batch(images)
-        batch = x.shape[0]
-        stages = self.backbone.encode(x)
+        with nullcontext() if training else T.no_graph():
+            x = images if isinstance(images, T.Tensor) else self._as_batch(images)
+            batch = x.shape[0]
+            stages = self.backbone.encode(x)
 
-        prior = posterior = latent = None
-        if self.config.use_gsm:
-            prior = extract_prior(x, self.gdeb)
-            if training:
-                if masks is None:
-                    raise ValueError("training with GSm needs ground-truth masks for the posterior")
-                posterior = extract_posterior(self._as_batch(masks), self.pcb)
-            latent = sample(prior, noise)
-        elif self.config.use_cibm:
-            fixed = GaussianSet.standard((batch, self.config.k), dtype=self.dtype)
-            latent = sample(fixed, noise)
+            prior = posterior = latent = None
+            if self.config.use_gsm:
+                prior = extract_prior(x, self.gdeb)
+                if training:
+                    if masks is None:
+                        raise ValueError("training with GSm needs ground-truth masks for the posterior")
+                    posterior = extract_posterior(self._as_batch(masks), self.pcb)
+                latent = sample(prior, noise)
+            elif self.config.use_cibm:
+                fixed = GaussianSet.standard((batch, self.config.k), dtype=self.dtype)
+                latent = sample(fixed, noise)
 
-        hook = self.pipeline.hook(latent) if self.pipeline is not None else None
-        logits = self.backbone.decode(stages, hook)
-        return ForwardResult(logits=logits, pred=T.sigmoid(logits), prior=prior,
-                             posterior=posterior, latent=latent)
+            hook = self.pipeline.hook(latent) if self.pipeline is not None else None
+            logits = self.backbone.decode(stages, hook)
+            return ForwardResult(logits=logits, pred=T.sigmoid(logits), prior=prior,
+                                 posterior=posterior, latent=latent)

@@ -1,8 +1,9 @@
 """Minimal dense-tensor substrate with reverse-mode differentiation.
 
 Tensors wrap numpy arrays (float32 for training, float64 for verification
-runs) and record a backward closure per operation.  ``backward`` walks the
-graph in deterministic topological order and accumulates gradients into
+runs) and record a backward closure per operation while recording is on
+(``no_graph`` turns it off) and an input requires grad.  ``backward`` walks
+the graph in deterministic topological order and accumulates gradients into
 ``.grad``.  ``finite_diff_check`` is the independent central-difference
 oracle used by every gradient-fidelity test.
 """
@@ -10,6 +11,7 @@ oracle used by every gradient-fidelity test.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
@@ -25,6 +27,27 @@ class ShapeError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """A computation produced NaN or Inf where finite values are required."""
+
+
+_recording = True  # ops keep their parents and backward closures
+
+
+def recording() -> bool:
+    return _recording
+
+
+@contextmanager
+def no_graph():
+    """Within the block ops compute values only: their outputs have no
+    parents, no backward closure and no gradient.  The previous state comes
+    back on exit, by an exception too.  The switch is process-wide, not per
+    thread."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
 
 
 class Tensor:
@@ -117,25 +140,26 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(a: Tensor, b: Tensor, out_data, da, db) -> Tensor:
-    req = a.requires_grad or b.requires_grad
-    out = Tensor(out_data, requires_grad=req, _parents=(a, b))
+def _node(out_data, parents, bw) -> Tensor:
+    """The output of an op on ``parents``: a graph node with backward closure
+    ``bw`` while recording is on and a parent requires grad, else a bare value."""
+    if _recording and any(p.requires_grad for p in parents):
+        return Tensor(out_data, requires_grad=True, _parents=parents, _backward=bw)
+    return Tensor(out_data)
 
+
+def _binary(a: Tensor, b: Tensor, out_data, da, db) -> Tensor:
     def _bw(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(da(g), a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(db(g), b.shape))
 
-    out._backward = _bw if req else None
-    return out
+    return _node(out_data, (a, b), _bw)
 
 
 def _unary(a: Tensor, out_data, da) -> Tensor:
-    out = Tensor(out_data, requires_grad=a.requires_grad, _parents=(a,))
-    if a.requires_grad:
-        out._backward = lambda g: a._accumulate(da(g))
-    return out
+    return _node(out_data, (a,), lambda g: a._accumulate(da(g)))
 
 
 def _broadcast(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
@@ -268,8 +292,6 @@ def concat(tensors, axis: int) -> Tensor:
         if len(s) != len(base) or any(i != axis and s[i] != base[i] for i in range(len(base))):
             raise ShapeError(f"concat: incompatible shapes {shapes} along axis {axis}")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    req = any(t.requires_grad for t in tensors)
-    out = Tensor(out_data, requires_grad=req, _parents=tuple(tensors))
     sizes = [s[axis] for s in shapes]
 
     def _bw(g):
@@ -281,8 +303,7 @@ def concat(tensors, axis: int) -> Tensor:
                 t._accumulate(g[tuple(index)])
             offset += n
 
-    out._backward = _bw if req else None
-    return out
+    return _node(out_data, tuple(tensors), _bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -451,10 +472,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         out_cm += bias.data[:, None, None, None]
     out_data = out_cm.transpose(1, 0, 2, 3)
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    req = any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=req, _parents=parents)
-
     def _bw(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(o, n * h * w)
         if bias is not None and bias.requires_grad:
@@ -481,8 +498,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
             flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             x._accumulate(_tap_sum(flipped, gbuf, n, h, w).transpose(1, 0, 2, 3))
 
-    out._backward = _bw if req else None
-    return out
+    return _node(out_data, (x, kernel) if bias is None else (x, kernel, bias), _bw)
 
 
 # -- backward pass ---------------------------------------------------------

@@ -298,6 +298,7 @@ def evaluate_model(model: SegModel, records, cfg: TrainConfig) -> tuple[list, di
     return per_image, mean
 
 
+@T.no_graph()  # whole splits go through the heads at once: a graph would keep every activation
 def diagnose(model: SegModel, train_records, test_records) -> dict:
     """Latent and mixer diagnostics on a fit's split; {} for the backbone alone.
 

@@ -1,16 +1,18 @@
 """Boundary band extraction and the uncertainty-weighted boundary loss."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.ndimage import binary_dilation
 
 from causalseg import boundary as B
 from causalseg import tensor as T
-from causalseg.data import square_symmetry
+from causalseg.data import generate_synthetic, square_symmetry
 
 
 def brute_sobel(mask):
@@ -135,6 +137,35 @@ class TestBoundaryBand:
         for index in np.ndindex(masks.shape[:2]):
             np.testing.assert_array_equal(bands[index], B.boundary_band(masks[index], width))
             assert edges[index].tobytes() == B.sobel_magnitude(masks[index]).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.tuples(st.lists(st.integers(1, 3), max_size=2), st.integers(3, 12), st.integers(3, 12),
+                     st.sampled_from([np.uint8, np.bool_, np.float32]))
+           .flatmap(lambda t: hnp.arrays(t[3], (*t[0], t[1], t[2]), elements=st.sampled_from([0, 1]))),
+           st.integers(1, 3))
+    def test_equals_the_dilated_sobel_magnitude(self, masks, width):
+        # the float32 responses and the max filter give the band of the float64
+        # magnitude's edges under an all-ones binary dilation
+        size = 2 * width + 1
+        ones = np.ones((1,) * (masks.ndim - 2) + (size, size), bool)
+        want = binary_dilation(B.sobel_magnitude(masks) > 0, structure=ones)
+        assert B.boundary_band(masks, width).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (3, 1, 2, 2), (4,)])
+    def test_planes_under_3x3_are_rejected(self, shape):
+        with pytest.raises(T.ShapeError, match="at least 3x3"):
+            B.boundary_band(np.zeros(shape, dtype=np.uint8))
+
+    def test_a_train_split_of_bands_holds_under_2_mib(self):
+        # float64 Sobel maps and their magnitude of the 179 masks took 4.2 MiB traced
+        masks = np.stack([r.mask for r in generate_synthetic(179, 32, 0)])[:, None].astype(np.float32)
+        tracemalloc.start()
+        try:
+            B.boundary_band(masks, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 def batch1(arr):

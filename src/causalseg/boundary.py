@@ -11,7 +11,6 @@ through the predictions.
 """
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from . import tensor as T
 from .losses import cross_entropy
@@ -27,6 +26,25 @@ def _correlate3(masks: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     win = np.lib.stride_tricks.sliding_window_view(masks, (3, 3), axis=(-2, -1))
     np.einsum("...ijkl,kl->...ij", win, kernel.astype(masks.dtype), out=out[..., 1:-1, 1:-1])
     return out
+
+
+def box_filter(planes: np.ndarray, radius: int, op, axes=(-2, -1)) -> np.ndarray:
+    """``op`` (``np.logical_or`` or ``np.logical_and``) over each pixel's
+    ``2 * radius + 1`` neighbours along each of ``axes`` in turn, pixels
+    outside the plane counting as 0: binary dilation or erosion by a box
+    (both axes) or by a line (one axis), as ``scipy.ndimage`` computes them."""
+    for axis in axes:
+        axis %= planes.ndim
+        n = planes.shape[axis]
+        pad = [(0, 0)] * planes.ndim
+        pad[axis] = (radius, radius)
+        padded = np.pad(planes, pad)
+        lead = (slice(None),) * axis
+        out = padded[lead + (slice(0, n),)].copy()
+        for k in range(1, 2 * radius + 1):
+            op(out, padded[lead + (slice(k, k + n),)], out=out)
+        planes = out
+    return planes
 
 
 def _planes(masks, dtype, name: str) -> np.ndarray:
@@ -60,8 +78,7 @@ def boundary_band(masks: np.ndarray, width: int = 2) -> np.ndarray:
     m = _planes(masks, np.float32, "boundary_band")
     edges = _correlate3(m, SOBEL_X) != 0
     edges |= _correlate3(m, SOBEL_Y) != 0
-    size = 2 * width + 1
-    return maximum_filter(edges, size=(1,) * (edges.ndim - 2) + (size, size), mode="constant", cval=0)
+    return box_filter(edges, width, np.logical_or)
 
 
 def _band_sizes(band: np.ndarray, dtype) -> T.Tensor:

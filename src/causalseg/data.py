@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import binary_dilation, binary_erosion, gaussian_filter
 
+from .boundary import box_filter
 from .rngs import derive_rng
 
 LESION_INTENSITY = 0.7
@@ -118,7 +118,28 @@ def read_pgm(path) -> np.ndarray:
 # -- synthetic generation ----------------------------------------------------
 
 GENERATE_CHUNK = 64  # samples per batched pass of generate_synthetic; bounds its temporaries
-_CROSS = np.array([[[0, 1, 0], [1, 1, 1], [0, 1, 0]]], dtype=bool)  # in-plane only
+
+
+def _gaussian_blur(planes: np.ndarray, sigma: float) -> np.ndarray:
+    """Each (H,W) plane of a float64 (N,H,W) stack blurred by a Gaussian of
+    ``sigma``, byte for byte as ``scipy.ndimage.gaussian_filter(planes, (0,
+    sigma, sigma))``: its kernel to 4 sigma, reflect padding, and its sum
+    order for a symmetric kernel, x_0 w_0 + sum over j = r..1 of
+    (x_-j + x_+j) w_j, along axis 1 and then axis 2."""
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    for axis in (1, 2):
+        n = planes.shape[axis]
+        pad = [(0, 0)] * 3
+        pad[axis] = (r, r)
+        padded = np.pad(planes, pad, mode="symmetric")
+        taps = [padded[(slice(None),) * axis + (slice(k, k + n),)] for k in range(2 * r + 1)]
+        out = taps[r] * w[r]
+        for j in range(r, 0, -1):
+            out += (taps[r - j] + taps[r + j]) * w[r - j]
+        planes = out
+    return planes
 
 
 def _draw_streaks(images: np.ndarray, streaks):
@@ -151,7 +172,9 @@ def _generate_chunk(start, m, size, seed):
     u = dx * cos + dy * sin
     v = -dx * sin + dy * cos
     inside = (u / ax) ** 2 + (v / ay) ** 2 <= 1.0
-    outlines = inside & ~binary_erosion(inside, structure=_CROSS)
+    # erosion by the cross: a pixel and its four neighbours are all inside
+    core = box_filter(inside, 1, np.logical_and, axes=(1,)) & box_filter(inside, 1, np.logical_and, axes=(2,))
+    outlines = inside & ~core
     boundary = np.split(np.argwhere(outlines)[:, 1:], np.cumsum(outlines.sum(axis=(1, 2)))[:-1])
     streaks, noise = [], np.empty((m, size, size))
     for j, (rng, points) in enumerate(zip(rngs, boundary)):
@@ -166,7 +189,7 @@ def _generate_chunk(start, m, size, seed):
     for c in range(1, N_CONFOUNDER_LEVELS):
         blurred, sigma = levels == c, BLUR_PER_LEVEL * c
         if blurred.any():
-            images[blurred] = gaussian_filter(images[blurred], sigma=(0, sigma, sigma))
+            images[blurred] = _gaussian_blur(images[blurred], sigma)
     if streaks:
         _draw_streaks(images, streaks)
     images += noise
@@ -174,10 +197,10 @@ def _generate_chunk(start, m, size, seed):
 
     # the annotation: eroded at c=0, dilated at c=2, the lesion where that empties it
     masks = inside.astype(np.uint8)
-    for c, op in ((0, binary_erosion), (2, binary_dilation)):
+    for c, op in ((0, np.logical_and), (2, np.logical_or)):
         rows = np.flatnonzero(levels == c)
         if len(rows):
-            out = op(inside[rows], structure=np.ones((1, 3, 3), dtype=bool))
+            out = box_filter(inside[rows], 1, op)
             kept = out.any(axis=(1, 2))
             masks[rows[kept]] = out[kept]
     return [SampleRecord(image=images[j], mask=masks[j], confounder_tag=int(levels[j]),

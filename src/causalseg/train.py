@@ -19,7 +19,6 @@ from multiprocessing import Pipe
 from pathlib import Path
 
 import numpy as np
-from scipy.special import entr
 
 from . import boundary, tensor as T
 from .boundary import usd_batch
@@ -298,6 +297,11 @@ def evaluate_model(model: SegModel, records, cfg: TrainConfig) -> tuple[list, di
     return per_image, mean
 
 
+def _entr(p: np.ndarray) -> np.ndarray:
+    """-p log p elementwise, 0 at p = 0."""
+    return -p * np.log(np.where(p > 0, p, 1.0))
+
+
 @T.no_graph()  # whole splits go through the heads at once: a graph would keep every activation
 def diagnose(model: SegModel, train_records, test_records) -> dict:
     """Latent and mixer diagnostics on a fit's split; {} for the backbone alone.
@@ -330,7 +334,7 @@ def diagnose(model: SegModel, train_records, test_records) -> dict:
             out["probe_accuracy"] = float(np.mean(classes[dist.argmin(axis=1)] == test_tags))
             out["probe_majority_share"] = float(np.bincount(test_tags).max() / len(test_tags))
     if model.pipeline is not None:
-        out["omega_entropy"] = [float(entr(m.omega().data.astype(np.float64)).sum(axis=1).mean())
+        out["omega_entropy"] = [float(_entr(m.omega().data.astype(np.float64)).sum(axis=1).mean())
                                 for m in model.pipeline.mixers]
     return out
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.ndimage import binary_dilation
+from scipy.ndimage import binary_dilation, binary_erosion, maximum_filter
 
 from causalseg import boundary as B
 from causalseg import tensor as T
@@ -171,6 +171,38 @@ class TestBoundaryBand:
 def batch1(arr):
     """A single H x W plane as a (1,1,H,W) batch."""
     return np.asarray(arr)[None, None]
+
+
+class TestBoxFilter:
+    """Binary morphology that ``boundary_band`` and the synthetic masks use,
+    against ``scipy.ndimage`` byte for byte; pixels outside count as 0."""
+
+    stacks = (st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12))
+              .flatmap(lambda shape: hnp.arrays(np.bool_, shape)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(stacks, st.integers(1, 3))
+    def test_or_is_the_max_filter_and_the_box_dilation(self, planes, radius):
+        size = 2 * radius + 1
+        got = B.box_filter(planes, radius, np.logical_or)
+        want = maximum_filter(planes, size=(1, size, size), mode="constant", cval=0)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == binary_dilation(planes, np.ones((1, size, size), bool)).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(stacks, st.integers(1, 3))
+    def test_and_is_the_box_erosion(self, planes, radius):
+        size = 2 * radius + 1
+        want = binary_erosion(planes, np.ones((1, size, size), bool))
+        assert B.box_filter(planes, radius, np.logical_and).tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(stacks)
+    def test_and_along_each_axis_is_the_cross_erosion(self, planes):
+        cross = np.array([[[0, 1, 0], [1, 1, 1], [0, 1, 0]]], bool)
+        got = (B.box_filter(planes, 1, np.logical_and, axes=(1,))
+               & B.box_filter(planes, 1, np.logical_and, axes=(2,)))
+        assert got.tobytes() == binary_erosion(planes, cross).tobytes()
 
 
 class TestUncertaintyMap:

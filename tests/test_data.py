@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.ndimage import binary_dilation, binary_erosion, gaussian_filter
@@ -32,6 +32,7 @@ from causalseg.data import (
     read_pgm,
     split_dataset,
     square_symmetry,
+    _gaussian_blur,
     write_pgm,
 )
 from causalseg.boundary import boundary_band, sobel_magnitude
@@ -128,6 +129,16 @@ def test_generation_is_byte_identical_to_per_sample_reference(size, seed):
     assert {r.confounder_tag for r in reference} == {0, 1, 2}
     for n in (0, 1, GENERATE_CHUNK - 1, GENERATE_CHUNK, GENERATE_CHUNK + 3, 256):
         _assert_same_records(generate_synthetic(n, size, seed), reference[:n])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(8, 20), st.integers(8, 20))
+       .flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(-2, 2))),
+       st.sampled_from([BLUR_PER_LEVEL, 2 * BLUR_PER_LEVEL]))
+@example(np.linspace(0, 1, 64).reshape(1, 8, 8), 2 * BLUR_PER_LEVEL)  # radius 5 on 8 px
+def test_blur_is_scipys_gaussian_filter_byte_for_byte(planes, sigma):
+    want = gaussian_filter(planes, sigma=(0, sigma, sigma))
+    assert _gaussian_blur(planes, sigma).tobytes() == want.tobytes()
 
 
 def test_generation_prefix_stable_across_chunk_boundary():

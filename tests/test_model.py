@@ -9,6 +9,7 @@ from causalseg import tensor as T
 from causalseg import train
 from causalseg.config import ModelConfig, TrainConfig
 from causalseg.data import generate_synthetic
+from causalseg.gsm import kl_loss
 from causalseg.model import SegModel
 from causalseg.rngs import derive_rng
 
@@ -58,15 +59,17 @@ def test_backbone_only_has_no_extra_params():
 
 
 def test_inference_ignores_mask_head():
-    # mask-side head is a training-only device: no posterior, and the
-    # prediction graph never touches its parameters
+    # mask-side head is a training-only device: no posterior at inference, and
+    # the prediction never reads its parameters, which reach only the KL term.
+    # Inference keeps no graph, so the ancestry is read from a training forward.
     images, masks = _batch()
     model = SegModel(ModelConfig(use_gsm=True, use_cibm=True, **CFG), seed=0)
-    out = model.forward(images, training=False)
-    assert out.posterior is None
+    assert model.forward(images, training=False).posterior is None
+    out = model.forward(images, masks, training=True)
     pcb_ids = {id(t) for name, t in model.registry.tensors.items() if name.startswith("pcb.")}
     assert pcb_ids
     assert not (T.ancestors(out.logits) & pcb_ids)
+    assert T.ancestors(kl_loss(out.prior, out.posterior)) & pcb_ids
 
 
 def test_training_with_gsm_requires_masks():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf as scipy_erf  # the reference, for tests only
 
 from causalseg import tensor as T
 
@@ -91,6 +92,71 @@ class TestActivations:
     def test_softmax_rows_sum_to_one(self, row):
         out = T.softmax(T.Tensor(np.array([row, row[::-1]], dtype=np.float64)), axis=1)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
+
+
+def _ulps(a, b):
+    # distance in representable values between same-sign floats of one width
+    ints = {4: np.int32, 8: np.int64}[a.itemsize]
+    return np.abs(a.view(ints).astype(np.int64) - b.view(ints).astype(np.int64))
+
+
+def _bit_sample(dtype, lo, hi, stride):
+    # every stride-th float of dtype from lo to hi (both >= 0), and its negation
+    ints = {np.float32: np.int32, np.float64: np.int64}[dtype]
+    lo_bits, hi_bits = (int(np.array(v, dtype).view(ints)) for v in (lo, hi))
+    x = np.arange(lo_bits, hi_bits + 1, stride, dtype=ints).view(dtype)
+    return np.concatenate([x, -x])
+
+
+class TestErf:
+    def test_float32_is_within_3_ulp_on_the_unit_interval(self):
+        # an odd stride, so that every low mantissa bit varies; 2 * 4.2e6 values
+        x = _bit_sample(np.float32, 0.0, 1.0, 251)
+        assert len(x) >= 2 ** 22
+        with np.errstate(all="raise"):
+            got = T.erf(x)
+        assert got.dtype == np.float32
+        assert _ulps(got, scipy_erf(x)).max() <= 3
+
+    def test_float32_is_scipys_bits_outside_the_unit_interval(self):
+        x = _bit_sample(np.float32, np.nextafter(np.float32(1), np.float32(2)), np.inf, 997)
+        nans = np.array([0x7FC00000, 0x7F800001, 0xFFBFFFFF], np.uint32).view(np.float32)  # quiet, 2 signalling
+        x = np.concatenate([x, np.array([1.5], np.float32), nans])
+        with np.errstate(all="raise"):
+            got = T.erf(x)
+        np.testing.assert_array_equal(got.view(np.int32)[:-3], scipy_erf(x).view(np.int32)[:-3])
+        assert np.isnan(got[-3:]).all()
+
+    def test_float32_mixes_both_paths_in_one_array(self):
+        x = np.linspace(-3, 3, 6000, dtype=np.float32).reshape(3, 2000, 1)
+        with np.errstate(all="raise"):
+            got = T.erf(x)
+        assert got.shape == x.shape and got.dtype == np.float32
+        assert _ulps(got, scipy_erf(x)).max() <= 3
+        outside = np.abs(x) > 1
+        np.testing.assert_array_equal(got[outside], scipy_erf(x)[outside])
+
+    def test_float64_is_within_1_ulp(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([_bit_sample(np.float64, 0.0, np.inf, 2 ** 43 + 1),
+                            rng.standard_normal(10 ** 5), rng.uniform(-9, 9, 10 ** 5)])
+        with np.errstate(all="raise"):
+            got = T.erf(x)
+        assert got.dtype == np.float64
+        assert _ulps(got, scipy_erf(x)).max() <= 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zeros_infinities_and_nan(self, dtype):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype)
+        with np.errstate(all="raise"):
+            got = T.erf(x)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got[:4], [0.0, -0.0, 1.0, -1.0])
+        assert list(np.signbit(got[:4])) == [False, True, False, True]
+        assert np.isnan(got[4])
+        with np.errstate(all="raise"):
+            assert T.erf(x[1]).shape == () and np.signbit(T.erf(x[1]))
+            assert T.erf(x[:0]).shape == (0,)
 
 
 class TestConstruction:

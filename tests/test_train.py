@@ -504,6 +504,16 @@ def test_diagnose_fresh_models():
     assert train.diagnose(backbone, train_records, test_records) == {}
 
 
+def test_entr_is_zero_at_zero():
+    from scipy.special import entr  # the reference, for tests only
+
+    p = np.array([0.0, 1e-300, 1e-3, 0.25, 0.5, 1 / np.e, 0.9, 1.0])
+    with np.errstate(all="raise"):
+        got = train._entr(p)
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got, entr(p), rtol=1e-15, atol=0)
+
+
 def _predict_case(**overrides):
     cfg = TrainConfig(**{**TINY, "batch": 4, **overrides}).validate()
     records = generate_synthetic(7, cfg.size, cfg.seed)  # 7 = 4 + a ragged 3
